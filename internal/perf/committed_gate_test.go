@@ -37,6 +37,11 @@ var committedPairs = []struct {
 	// throughput gain is 4.09x (floor 3.5 leaves pair-mismatch headroom
 	// only — both reports are committed, so the ratio is fixed).
 	{"BENCH_pre-eot.json", "BENCH_eot-lookahead.json", "cluster-btmz-4node", 3.5},
+	// Process handoffs on reusable iter.Pull carriers instead of the
+	// two-party goroutine parker. Recorded at num_cpu 2; the measured
+	// btmz-trace ratio is 2.25x, and the floor only guards against a
+	// mismatched pair.
+	{"BENCH_pre-coro.json", "BENCH_coro.json", "btmz-trace", 2.0},
 }
 
 // TestCommittedReportsPassGate pins the repository's perf trajectory: every

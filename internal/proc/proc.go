@@ -2,34 +2,29 @@
 // programs (MPI ranks, OS daemons) be written as ordinary sequential Go
 // functions while the simulation stays fully deterministic.
 //
-// Each Process runs its body on a dedicated goroutine, but the goroutine is
-// only ever runnable while the engine is blocked waiting for the process's
-// next request: control passes back and forth in strict lock-step, so at
-// any instant at most one goroutine in the whole simulation makes progress.
-// The result behaves like hand-written coroutines — no data races, no
-// scheduling nondeterminism — with none of the pain of writing workloads as
-// explicit state machines.
+// Each Process body runs as a coroutine (iter.Pull, coro.go): control
+// passes between the engine and the body in strict lock-step, by a direct
+// coroutine switch that bypasses the Go scheduler, so at any instant at most
+// one of them makes progress. The result behaves like hand-written
+// coroutines — no data races, no scheduling nondeterminism — with none of
+// the pain of writing workloads as explicit state machines.
 //
-// The rendezvous is a custom two-party parker (parker.go), not a channel:
-// each side owns a park/unpark slot and the tagged message lives in a
-// single per-process field whose ownership alternates with the protocol.
-// Because the exchange is a strict ping-pong, a handoff is one message
-// write, one atomic swap to notify the peer, and one spin-then-park to wait
-// for the answer — no channel lock, no select, and on a multi-P runtime no
-// scheduler involvement at all while the peer spins. A process that
-// genuinely blocks (a rank in an MPI wait) falls back to a direct-handoff
-// sleep, so parked goroutines cost nothing while the simulation runs
-// elsewhere.
+// Bodies do not own their coroutines. A carrier is one pulled sequence that
+// runs process bodies one after another; Start borrows a carrier from a
+// bounded global free list and the carrier goes back to it when the body
+// exits, panics or is killed. A process lifecycle therefore allocates only
+// the Process itself, and a parked body costs nothing while the simulation
+// runs elsewhere.
 //
 // Protocol: the engine calls Start to obtain the body's first request, then
 // repeatedly answers requests via Resume, which returns the next request.
 // When the body returns, Resume reports done=true. A process abandoned
 // mid-request (e.g. the simulation horizon was reached) must be released
-// with Kill, which unwinds the body's goroutine.
+// with Kill, which unwinds the body and returns its carrier.
 //
 // The protocol is batch-friendly: a request is opaque, so a caller can make
 // one Invoke carry an entire queue of deferred operations and have the
-// engine drain it before replying — one goroutine handoff for the whole
+// engine drain it before replying — one coroutine switch for the whole
 // batch. The sched.Env/mpi layers use exactly this (sched.batchReq and
 // sched.waitReq) to collapse a rank's per-iteration message traffic, and
 // its block/wake/re-check loops, into single exchanges.
@@ -51,25 +46,6 @@ type Request any
 // bodies must not recover from it.
 var errKilled = errors.New("proc: process killed")
 
-// msgKind tags a message in the rendezvous slot.
-type msgKind uint8
-
-const (
-	msgRequest msgKind = iota // body → engine: service request
-	msgReply                  // engine → body: answer to the pending request
-	msgExit                   // body → engine: body returned
-	msgPanic                  // body → engine: body panicked (val holds the value)
-	msgKill                   // engine → body: unwind (Kill of a parked process)
-)
-
-// message is the rendezvous payload. It lives in the Process's msg slot;
-// ownership alternates with the protocol, so no exchange ever allocates.
-type message struct {
-	kind msgKind
-	req  Request
-	val  any // reply (msgReply) or panic value (msgPanic)
-}
-
 // PanicError wraps a panic raised inside a process body so the engine can
 // attribute it.
 type PanicError struct {
@@ -86,13 +62,16 @@ type Process struct {
 	id   int
 	name string
 	body func(*Handle)
+	h    Handle
 
-	// msg is the rendezvous slot. The side that just called unpark has
-	// written it; the side that returns from park reads it. The parker's
-	// atomics order the accesses, so the slot itself needs none.
-	msg    message
-	engPk  parker // the engine parks here while the body runs
-	bodyPk parker // the body parks here while the engine runs
+	// c is the carrier running the body, held from Start until the body
+	// finishes. The fields below it are the exchange: the side that
+	// switches writes them, the side that resumes reads them, and the
+	// coroutine switch orders the two.
+	c        *carrier
+	req      Request // body → engine: the pending request
+	reply    any     // engine → body: the answer to it
+	panicVal any     // body → engine: the value the body panicked with
 
 	started bool
 	done    bool
@@ -110,8 +89,7 @@ func New(id int, name string, body func(*Handle)) *Process {
 		name: name,
 		body: body,
 	}
-	p.engPk.init()
-	p.bodyPk.init()
+	p.h.p = p
 	return p
 }
 
@@ -124,8 +102,8 @@ func (p *Process) Name() string { return p.name }
 // Done reports whether the body has returned (or the process was killed).
 func (p *Process) Done() bool { return p.done }
 
-// Handle is the body-side endpoint. It is only valid on the body's
-// goroutine, for the lifetime of the body function.
+// Handle is the body-side endpoint. It is only valid inside the body
+// function, for its lifetime.
 type Handle struct {
 	p *Process
 }
@@ -133,26 +111,28 @@ type Handle struct {
 // Process returns the process this handle belongs to.
 func (h *Handle) Process() *Process { return h.p }
 
-// Invoke submits a request to the engine and blocks the body until the
+// Invoke submits a request to the engine and suspends the body until the
 // engine answers via Resume. It returns the engine's reply.
 //
-// The lock-step protocol makes the bare slot exchange safe: the body only
-// runs while the engine is parked in next(), so the request write never
-// races the engine's read, and a Kill can only ever find the body in the
-// park below, where the kill notification unblocks it.
+// On a killed process Invoke panics with errKilled: after the switch back
+// from Kill, and also at once when the body calls it again while unwinding
+// (from a deferred cleanup), since no engine is left to answer and a
+// suspended unwind would strand the carrier.
 func (h *Handle) Invoke(req Request) any {
 	p := h.p
-	p.msg = message{kind: msgRequest, req: req}
-	p.engPk.unpark()
-	p.bodyPk.park()
-	m := p.msg
-	if m.kind == msgKill {
+	if p.killed {
 		panic(errKilled)
 	}
-	return m.val
+	p.req = req
+	if !p.c.yield(false) || p.killed {
+		panic(errKilled)
+	}
+	reply := p.reply
+	p.reply = nil
+	return reply
 }
 
-// Start launches the body goroutine and returns its first request.
+// Start launches the body and returns its first request.
 // done is true if the body returned without issuing any request.
 // Starting a process that was already killed is a no-op reporting done=true:
 // a watchdog abort can Kill a whole kernel's process table, including
@@ -166,7 +146,8 @@ func (p *Process) Start() (req Request, done bool) {
 		panic("proc: Start called twice")
 	}
 	p.started = true
-	go p.run()
+	p.c = getCarrier()
+	p.c.p = p
 	return p.next()
 }
 
@@ -180,19 +161,17 @@ func (p *Process) Resume(reply any) (req Request, done bool) {
 	if p.done {
 		panic(fmt.Sprintf("proc: Resume on finished process %q", p.name))
 	}
-	p.msg = message{kind: msgReply, val: reply}
-	p.bodyPk.unpark()
+	p.reply = reply
 	return p.next()
 }
 
-// Kill releases a process that is blocked inside Invoke, unwinding its
-// goroutine. It is idempotent. Killing a process that already finished is a
-// no-op.
-//
-// It must only be called while the process is parked in Invoke (the only
-// place a live process can be parked while the engine runs), so the kill
-// notification reaches the body directly; the unwinding goroutine exits
-// without emitting anything further.
+// Kill releases a process that is suspended inside Invoke: the body resumes
+// with the killed flag set, Invoke panics errKilled, and the body unwinds —
+// running its deferred calls — before Kill returns. Kill is idempotent.
+// Killing a process that already finished, or that never started, is a
+// no-op beyond marking it done. A panic other than the unwind itself,
+// raised by a deferred call on the way out, is discarded: the engine has
+// already abandoned the process.
 func (p *Process) Kill() {
 	if p.killed || p.done {
 		p.done = true
@@ -201,41 +180,46 @@ func (p *Process) Kill() {
 	p.killed = true
 	p.done = true
 	if p.started {
-		p.msg = message{kind: msgKill}
-		p.bodyPk.unpark()
+		p.c.next()
+		p.panicVal = nil
+		p.release()
 	}
 }
 
+// next switches to the body until it issues its next request or finishes.
 func (p *Process) next() (Request, bool) {
-	p.engPk.park()
-	m := p.msg
-	switch m.kind {
-	case msgExit:
-		p.done = true
-		return nil, true
-	case msgPanic:
-		p.done = true
-		panic(&PanicError{Process: p.name, Value: m.val})
-	case msgRequest:
-		return m.req, false
-	default:
-		panic(fmt.Sprintf("proc: protocol violation: engine received %d", m.kind))
+	if finished, _ := p.c.next(); !finished {
+		req := p.req
+		p.req = nil
+		return req, false
 	}
+	p.done = true
+	p.release()
+	if v := p.panicVal; v != nil {
+		p.panicVal = nil
+		panic(&PanicError{Process: p.name, Value: v})
+	}
+	return nil, true
 }
 
+// release hands the finished body's carrier back to the free list.
+func (p *Process) release() {
+	c := p.c
+	p.c = nil
+	putCarrier(c)
+}
+
+// run executes the body on the carrier, recording a panic for the engine
+// side instead of letting it escape the coroutine. The errKilled unwind is
+// silent: Kill expects it.
 func (p *Process) run() {
 	defer func() {
 		if v := recover(); v != nil {
 			if err, ok := v.(error); ok && errors.Is(err, errKilled) {
-				return // silent unwind; engine already moved on
+				return
 			}
-			p.msg = message{kind: msgPanic, val: v}
-			p.engPk.unpark()
-			return
+			p.panicVal = v
 		}
-		p.msg = message{kind: msgExit}
-		p.engPk.unpark()
 	}()
-	h := &Handle{p: p}
-	p.body(h)
+	p.body(&p.h)
 }
