@@ -1,63 +1,50 @@
 // Package cluster simulates a whole machine room: N node-local kernels —
 // each the single-node engine of internal/sim + internal/sched — coupled
-// by an inter-node MPI latency model and advanced in parallel by a
-// conservative (null-message) parallel discrete-event simulation.
+// by an inter-node MPI latency model and advanced in turn, on the calling
+// goroutine, by a conservative (Chandy–Misra–Bryant) discrete-event
+// simulation.
 //
-// The correctness argument is the classic Chandy–Misra–Bryant bound. Every
-// inter-node message costs at least the latency floor L (the interconnect's
-// RemoteLatency plus the smallest topology add-on over cross-node rank
-// pairs). A node publishes its clock c only after every event at ≤ c has
-// fired, so any message it has not yet handed to the transport fires at
-// ≥ c+1 and arrives at ≥ c+1+L. Node i may therefore simulate up to
+// Every inter-node message costs at least the latency floor L (the
+// interconnect's RemoteLatency plus the smallest topology add-on over
+// cross-node rank pairs). A node at clock c has fired every event at ≤ c,
+// so any message it has not yet sent fires at ≥ c+1 and arrives at
+// ≥ c+1+L. Node i may therefore simulate up to
 //
-//	h_i = min_{j≠i} c_j + L
+//	h_i = min_{j≠i} c_j + L − 1
 //
-// without ever receiving a message in its past. L ≤ 0 would make that
+// without ever receiving a message in its past. L ≤ 1 would make that
 // horizon vacuous — a zero-lookahead deadlock — and is rejected with a
 // structured *LookaheadError before the run starts.
 //
-// The clock bound is only the fallback. The default pacing is Nicol-style
-// EOT/EIT lookahead, organised around CUSTODY: at every instant, each
-// not-yet-delivered future event chain is covered by exactly the node
-// currently holding it. Node i publishes S_i, a lower bound over its
-// whole custody set — pending engine events (Engine.NextEventAt),
-// drained-but-uninjected arrivals, unflushed deferred sends, and pushed-
-// but-undrained outbound messages capped at their fire instants. Every
-// chain adds at least the pair latency per hop, so with R = the min-plus
-// path closure of the per-pair latency floors (shortest nonempty path,
-// computed once in Finalize), node i's earliest input time is
+// The clock bound is only the fallback (Config.FloorPacing). The default
+// pacing is Nicol-style EOT/EIT lookahead. Node i keeps eot[i], a lower
+// bound on every future event it holds: pending engine events
+// (Engine.NextEventAt), staged-but-uninjected arrivals and unflushed
+// deferred sends. Every message chain pays at least the pair latency per
+// hop, so with R the min-plus path closure of the per-pair latency floors
+// (computed once in Finalize), node i's earliest input time is
 //
-//	EIT_i = min_j (S_j + R_{j→i})
+//	EIT_i = min_j (eot[j] + R_{j→i})
 //
-// — its earliest output toward k being EOT_{i→k} = S_i + L_{i→k}, folded
-// into the closure so a publish is one atomic store and an EIT read is N
-// loads. The node advances in ONE window to EIT_i − 1 (same strictness
-// tick as the floor bound), not in floor-sized steps: idle and
-// compute-only stretches collapse into single windows (WindowsElided
-// counts the collapse), and the per-pair closure keeps ring/star
-// topologies from serialising on the global minimum. Custody of an
-// in-flight message hands off receiver-first (drainInto lowers the
-// receiver's bound before the sender may raise past its fire cap), and
-// EIT scans detect mid-scan handoffs through an epoch counter — the pair
-// of rules that keeps the horizon sound without acknowledgements or
-// null-message relaxation (publishing min(origin, EIT)+L instead would
-// creep by one floor per sweep: floor cadence in disguise).
-// Config.FloorPacing restores the clock+floor cadence; the simulation is
-// byte-identical either way.
+// and the node advances in ONE window to EIT_i − 1 (the same strictness
+// tick as the floor bound): idle and compute-only stretches collapse into
+// single windows (WindowsElided counts the collapse), and the per-pair
+// closure keeps ring/star topologies from serialising on the global
+// minimum. RouteMessage stages a message with its receiver and lowers the
+// receiver's eot to the arrival in the same step, so every in-flight chain
+// is covered by some node's bound at every instant.
 //
 // Determinism is the headline property: the event sequence of every node —
-// and therefore timelines, traces and fault logs — is byte-identical at any
-// shard count. Cross-node deliveries are injected by a window-invariant
-// protocol (see stepNode) so the lookahead window boundaries, which do
-// depend on shard scheduling, are invisible to the simulation.
+// and therefore timelines, traces and fault logs — does not depend on where
+// the window boundaries fall. Cross-node deliveries are injected by a
+// window-invariant protocol (see stepNode), so both pacings produce the
+// byte-identical simulation.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"hpcsched/internal/batch"
 	"hpcsched/internal/mpi"
@@ -69,14 +56,10 @@ import (
 // derived stream in the tree (batch replicas, storms, fault compiles).
 const nodeEngineSalt = 0xc105_7e20_0000_0000
 
-// Config describes a sharded cluster simulation.
+// Config describes a multi-node cluster simulation.
 type Config struct {
 	// Nodes is the number of simulated nodes (≥ 1).
 	Nodes int
-	// Shards is the number of goroutines advancing node engines; ≤ 0 means
-	// GOMAXPROCS. Nodes are dealt round-robin over shards, and any shard
-	// count yields the identical simulation.
-	Shards int
 	// Topology shapes the inter-node latency add-ons: "flat" (uniform
 	// interconnect, the default), "ring" (latency grows with hop distance)
 	// or "star" (leaf↔leaf traffic pays one extra hub hop).
@@ -92,7 +75,8 @@ type Config struct {
 	NewNode func(node int, eng *sim.Engine) *sched.Kernel
 	// OnNodeStop, when non-nil, is consulted when a node's engine is
 	// stopped by an interrupt (a watchdog or context hook installed by the
-	// caller) with ranks still pending: the returned error aborts the run.
+	// caller) before its ranks and their sends are done: the returned
+	// error aborts the run.
 	// Nil treats any such stop as a generic interrupt error.
 	OnNodeStop func(node int) error
 	// FloorPacing, when true, disables the EOT/EIT lookahead and paces
@@ -107,7 +91,7 @@ type Config struct {
 // conservative horizon is min(other clocks)+floor−1 (strict — a message can
 // arrive at exactly clock+floor, so the window must stop one tick short),
 // and with floor < 2ns that horizon never advances past the slowest clock:
-// the parallel simulation would deadlock (or livelock in zero-sized steps).
+// the simulation would deadlock (or livelock in zero-sized steps).
 // It is returned by Finalize before any event runs.
 type LookaheadError struct {
 	Floor    sim.Time
@@ -118,36 +102,6 @@ func (e *LookaheadError) Error() string {
 	return fmt.Sprintf("cluster: lookahead floor %v on %q topology is too small; "+
 		"inter-node latency (mpi.Options.RemoteLatency plus topology add-ons) must be ≥ 2ns",
 		e.Floor, e.Topology)
-}
-
-// ShardsError reports a shard count exceeding the node count. The library
-// itself silently clamps (a node is the unit of parallelism, so extra
-// shards could only idle), but user-facing entry points reject the request
-// instead of quietly over-provisioning workers — same contract as
-// *LookaheadError: a structured error before the run starts.
-type ShardsError struct {
-	Shards int
-	Nodes  int
-}
-
-func (e *ShardsError) Error() string {
-	return fmt.Sprintf("cluster: %d shards requested for %d node(s); "+
-		"a node is the unit of parallelism, so -shards must be ≤ nodes (or ≤ 0 for GOMAXPROCS)",
-		e.Shards, e.Nodes)
-}
-
-// ValidateShards rejects an explicit shard request larger than the node
-// count with a *ShardsError. Non-positive shards (meaning GOMAXPROCS,
-// clamped to nodes) are always valid; nodes ≤ 0 normalises to 1 the same
-// way Config.Nodes does.
-func ValidateShards(shards, nodes int) error {
-	if nodes <= 0 {
-		nodes = 1
-	}
-	if shards > nodes {
-		return &ShardsError{Shards: shards, Nodes: nodes}
-	}
-	return nil
 }
 
 // InterruptError reports that a node's engine was stopped (watchdog,
@@ -166,10 +120,10 @@ func (e *InterruptError) Error() string {
 
 func (e *InterruptError) Unwrap() error { return e.Cause }
 
-// xmsg is one cross-shard message in flight: the arrival instant is stamped
-// by the sender, and (arrival, srcNode, seq) is a total order — seq is the
-// sender's running counter for the directed node pair, so two messages can
-// only tie on (arrival, srcNode) if they are the same message.
+// xmsg is one cross-node message staged with its receiver: the arrival
+// instant is stamped by the sender, and (arrival, srcNode, seq) is a total
+// order — seq is the cluster's running count of routed messages, so two
+// messages can only tie on (arrival, srcNode) if they are the same message.
 type xmsg struct {
 	arrival sim.Time
 	srcNode int
@@ -180,40 +134,16 @@ type xmsg struct {
 	size    int64
 }
 
-// pairQueue carries messages for one directed node pair. Pushes never
-// block: a full channel spills to the mutexed overflow slice, so a sender
-// mid-window can never deadlock against a receiver mid-window. The drain
-// sorts everything it collects, restoring the total order the ch/overflow
-// split may scramble.
-type pairQueue struct {
-	ch       chan xmsg
-	mu       sync.Mutex
-	overflow []xmsg
-	seq      uint64 // owner-shard only: per-pair send counter
-
-	// n counts queued-but-undrained messages; the sender increments it
-	// before enqueueing. A zero read lets drainInto skip the channel poll
-	// and overflow mutex entirely — with N nodes the drain runs N-1 times
-	// per lookahead window, and most pairs are silent in most windows. A
-	// racing non-zero-but-not-yet-enqueued message is safe to miss: its
-	// arrival is stamped beyond the reader's current horizon (see
-	// drainInto).
-	n atomic.Int64
-
-	// capW is the fire instant of the oldest undrained message in this
-	// queue, MaxTime when the sender last observed it empty. Sender-owned
-	// (armed by RouteMessage on the first push into an observed-empty
-	// queue — fires are monotone per sender, so first-armed is oldest —
-	// and cleared at publish once n reads 0); the receiver never touches
-	// it. It caps the sender's published origin bound while a message is
-	// in flight: until the receiver takes custody, the chain the message
-	// carries is covered only by the sender's slot, and any continuation
-	// leaves the receiver no earlier than capW plus the pair latency —
-	// which the reach closure already folds in.
-	capW sim.Time
+// cmpXmsg orders staged messages by (arrival, srcNode, seq).
+func cmpXmsg(a, b xmsg) int {
+	if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcNode, b.srcNode); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
-
-const pairQueueCap = 1024
 
 // inject is one pooled target-side delivery: a pre-bound engine callback
 // per object, so injecting a cross-node message allocates nothing in steady
@@ -228,7 +158,8 @@ type inject struct {
 	fire func()
 }
 
-// injectPool is a per-node free list; only the node's owner shard touches it.
+// injectPool is a per-node free list: drawn by stepNode for the node's
+// own engine, refilled by that engine's deliveries.
 type injectPool struct {
 	free *inject
 }
@@ -255,44 +186,28 @@ func (p *injectPool) draw(m xmsg) *inject {
 	return in
 }
 
-// Cluster is a set of simulated nodes advanced in parallel.
+// Cluster is a set of simulated nodes advanced in turn under conservative
+// lookahead.
 type Cluster struct {
 	Engines []*sim.Engine
 	Kernels []*sched.Kernel
 	World   *mpi.World
 
 	cfg     Config
-	shards  int
 	horizon sim.Time
 	floor   sim.Time
 
-	queues  [][]*pairQueue // [srcNode][dstNode], nil on the diagonal
-	clocks  []atomic.Int64 // published per-node clocks (MaxTime once done)
 	pools   []injectPool
-	staging [][]xmsg // per-node drained-but-not-yet-due messages
+	staging [][]xmsg // per-node routed-but-not-yet-injected messages
+	routed  uint64   // messages routed so far; stamps xmsg.seq
 
-	// eot[i] is node i's published coverage bound S_i: a lower bound on
-	// the earliest future virtual instant of any event chain currently in
-	// i's custody — its engine's pending events, its drained-but-
-	// uninjected staging, its unflushed deferred sends, and its pushed-
-	// but-undrained outbound messages (capped at their fire instants, see
-	// pairQueue.capW). Written only by i's owner shard; everyone reads.
-	// i's earliest output toward k is eot[i] + nodeLat[i][k]; k's earliest
-	// input folds the whole forwarding closure: min_j(eot[j] +
-	// reach[j][k]). The cluster invariant is continuous coverage: at every
-	// instant, every not-yet-injected future event is covered by the slot
-	// of the node holding custody of its chain. Custody of an in-flight
-	// message hands off sender→receiver through drainInto, which LOWERS
-	// the receiver's slot to the staged arrival (bumping eotEpoch) before
-	// decrementing the queue count the sender's next publish reads — so
-	// the sender only raises past the fire cap once the receiver's slot
-	// already covers the chain.
-	eot []atomic.Int64
-	// eotEpoch is bumped on every custody LOWER of an eot slot. eitFor
-	// re-reads it around its scan: coverage can hop between slots only at
-	// a lower/raise pair, so a scan that straddles no lower saw every
-	// chain covered by at least one of the values it read.
-	eotEpoch atomic.Uint64
+	// eot[i] is node i's coverage bound: a lower bound on the earliest
+	// future instant of any event chain node i holds — its engine's
+	// pending events, its staged arrivals and its unflushed deferred
+	// sends. publishEOT recomputes it after each window, RouteMessage
+	// lowers it to every arrival it stages, and a finished node holds
+	// MaxTime. Node i's earliest input is min_j(eot[j] + reach[j][i]).
+	eot []sim.Time
 	// nodeLat[i][k] is the smallest transport latency from node i to node
 	// k over all placed rank pairs (MaxTime when no such pair exists):
 	// RemoteLatency plus the topology add-on, computed once in Finalize.
@@ -306,37 +221,23 @@ type Cluster struct {
 	// Static is conservative: a finished node only removes paths.
 	reach [][]sim.Time
 	// windows/elided count executed lookahead windows per node and the
-	// estimated floor-cadence windows the EOT/EIT horizon collapsed
-	// (owner shard only; read after Run). Shard interleaving perturbs the
-	// counts, so they are reported as diagnostics (ClusterInfo, BENCH)
-	// and must never feed a determinism-pinned artifact.
+	// estimated floor-cadence windows the EOT/EIT horizon collapsed. They
+	// depend on the pacing, not on the simulation, so they are reported
+	// as diagnostics (ClusterInfo, BENCH) and must never feed a
+	// determinism-pinned artifact.
 	windows []int64
 	elided  []int64
 
-	pending  []int  // per-node unexited spawned ranks (owner shard only)
-	done     []bool // owner shard only
+	pending  []int // per-node unexited spawned ranks
+	live     int   // nodes not yet finished
+	done     []bool
 	ends     []sim.Time
 	capped   []bool // node hit the horizon with ranks pending
 	rankNode []int
 
 	watched []map[*sched.Task]bool
 
-	abort    atomic.Bool
-	abortMu  sync.Mutex
 	abortErr error
-
-	// progress is broadcast whenever any node publishes a new clock,
-	// finishes, or the run aborts. Shards whose nodes cannot advance park
-	// here instead of spinning: a node's horizon moves only when a peer's
-	// clock does, so every event that could unblock a shard bumps the
-	// generation. The generation and the parked-waiter count are atomics so
-	// the hot path (bump with no one parked — the common case, once per
-	// lookahead window) costs two uncontended atomic ops, not a mutex and a
-	// broadcast; parked is only modified under progressMu.
-	progressMu  sync.Mutex
-	progress    sync.Cond
-	progressGen atomic.Uint64
-	parked      atomic.Int32
 
 	finalized bool
 }
@@ -355,53 +256,34 @@ func New(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown topology %q (flat|ring|star)", cfg.Topology)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
-	}
 	c := &Cluster{
 		cfg:     cfg,
-		shards:  shards,
-		queues:  make([][]*pairQueue, cfg.Nodes),
-		clocks:  make([]atomic.Int64, cfg.Nodes),
 		pools:   make([]injectPool, cfg.Nodes),
 		staging: make([][]xmsg, cfg.Nodes),
 		pending: make([]int, cfg.Nodes),
+		live:    cfg.Nodes,
 		done:    make([]bool, cfg.Nodes),
 		ends:    make([]sim.Time, cfg.Nodes),
 		capped:  make([]bool, cfg.Nodes),
 		watched: make([]map[*sched.Task]bool, cfg.Nodes),
-		eot:     make([]atomic.Int64, cfg.Nodes),
+		eot:     make([]sim.Time, cfg.Nodes),
 		windows: make([]int64, cfg.Nodes),
 		elided:  make([]int64, cfg.Nodes),
 	}
-	c.progress.L = &c.progressMu
 	for i := 0; i < cfg.Nodes; i++ {
 		eng := sim.NewEngine(batch.DeriveSeed(cfg.Seed, nodeEngineSalt+uint64(i)))
 		c.Engines = append(c.Engines, eng)
 		c.Kernels = append(c.Kernels, cfg.NewNode(i, eng))
-		c.queues[i] = make([]*pairQueue, cfg.Nodes)
-		for j := 0; j < cfg.Nodes; j++ {
-			if j != i {
-				c.queues[i][j] = &pairQueue{ch: make(chan xmsg, pairQueueCap), capW: sim.MaxTime}
-			}
-		}
 	}
 	return c, nil
 }
-
-// Shards returns the effective shard count.
-func (c *Cluster) Shards() int { return c.shards }
 
 // Floor returns the lookahead floor (valid after Finalize).
 func (c *Cluster) Floor() sim.Time { return c.floor }
 
 // NewWorld creates the MPI world spanning the cluster: node 0's kernel
 // anchors it, every further node is attached, and the cluster itself is
-// installed as the cross-shard router.
+// installed as the cross-node router.
 func (c *Cluster) NewWorld(size int, opts mpi.Options) *mpi.World {
 	w := mpi.NewWorld(c.Kernels[0], size, opts)
 	for i := 1; i < len(c.Kernels); i++ {
@@ -414,8 +296,9 @@ func (c *Cluster) NewWorld(size int, opts mpi.Options) *mpi.World {
 }
 
 // SpawnRank places rank i on the given node and registers it for
-// completion tracking: a node is finished when its last spawned rank
-// exits, which stops the node's engine mid-window.
+// completion tracking: a node is finished when its last spawned rank has
+// exited and handed its last sends to the router (stopIfDone), which stops
+// the node's engine mid-window.
 func (c *Cluster) SpawnRank(i, node int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
 	if c.World == nil {
 		panic("cluster: SpawnRank before NewWorld")
@@ -437,14 +320,23 @@ func (c *Cluster) SpawnRank(i, node int, spec sched.TaskSpec, body func(*mpi.Ran
 			if c.watched[node][t] {
 				delete(c.watched[node], t)
 				c.pending[node]--
-				if c.pending[node] == 0 {
-					k.Engine.Stop()
-				}
+				c.stopIfDone(node)
 			}
 		}
 	}
 	c.watched[node][task] = true
 	return task
+}
+
+// stopIfDone stops node's engine once its last rank has exited and every
+// cross-node send those ranks issued has been handed to the router. A
+// rank's last Send routes from a zero-delay step the kernel schedules just
+// before the rank exits, so stopping at the exit itself would strand it —
+// and its receiver would wait until the run horizon.
+func (c *Cluster) stopIfDone(node int) {
+	if c.pending[node] == 0 && c.World.NodePendingSends(node) == 0 {
+		c.Engines[node].Stop()
+	}
 }
 
 // RankNode returns the node rank i was placed on.
@@ -469,7 +361,7 @@ func (c *Cluster) Finalize() error {
 		c.nodeLat[i] = row
 	}
 	if nodes == 1 {
-		c.floor = sim.MaxTime // no cross-shard traffic; horizon-capped only
+		c.floor = sim.MaxTime // no cross-node traffic; horizon-capped only
 		c.closeReach()
 		return nil
 	}
@@ -513,10 +405,9 @@ func (c *Cluster) Finalize() error {
 // (Floyd–Warshall over saturating adds): reach[j][i] is the cheapest
 // nonempty forwarding path j→…→i, the diagonal the cheapest round trip —
 // MaxTime where no rank placement provides a path. Nodes-cubed once per
-// run, before any window. The initial published origin bounds are the
-// atomics' zero values: every engine's first event fires at ≥ 0, so the
-// first EIT reads are min_j reach[j][i] ≥ the floor, and the first
-// windows open.
+// run, before any window. The initial eot bounds are zero: every engine's
+// first event fires at ≥ 0, so the first EIT reads are min_j reach[j][i]
+// ≥ the floor, and the first windows open.
 func (c *Cluster) closeReach() {
 	n := len(c.Kernels)
 	c.reach = make([][]sim.Time, n)
@@ -571,168 +462,77 @@ func topologyExtra(topology string, a, b, nodes int, remote sim.Time) sim.Time {
 	}
 }
 
-// RouteMessage implements mpi.Router: it runs on the sender's shard at the
-// virtual instant the send fired, with the arrival pre-stamped. The push
-// never blocks (overflow spills to a slice) so two shards can never
-// deadlock pushing to each other mid-window.
+// RouteMessage implements mpi.Router: it runs on the sender's engine at the
+// virtual instant the send fired, with the arrival pre-stamped. The message
+// is staged with its receiver at once, and the receiver's eot drops to the
+// arrival, so the message's chain is covered from the instant it leaves
+// the sender. A message for a finished node dies undelivered.
+//
+// The arrival must lie strictly after the receiver's clock. The
+// conservative window guarantees it; an arrival at exactly the clock would
+// make the injection order depend on where a window boundary fell.
 func (c *Cluster) RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *mpi.Rank, src, tag int, size int64) {
-	q := c.queues[srcNode][dstNode]
-	q.seq++
-	if q.capW == sim.MaxTime {
-		// First push into an observed-empty queue: this fire instant caps
-		// the sender's published bound until the receiver takes custody.
-		// Sender fires are monotone, so the first armed is the oldest.
-		q.capW = c.Engines[srcNode].Now()
+	if now := c.Engines[dstNode].Now(); arrival <= now {
+		panic(fmt.Sprintf("cluster: message from node %d to node %d arrives at %v, not after the receiver's clock %v",
+			srcNode, dstNode, arrival, now))
 	}
-	m := xmsg{arrival: arrival, srcNode: srcNode, seq: q.seq,
-		dst: dst, src: src, tag: tag, size: size}
-	q.n.Add(1)
-	select {
-	case q.ch <- m:
-	default:
-		q.mu.Lock()
-		q.overflow = append(q.overflow, m)
-		q.mu.Unlock()
+	c.routed++
+	if !c.done[dstNode] {
+		c.staging[dstNode] = append(c.staging[dstNode], xmsg{arrival: arrival, srcNode: srcNode,
+			seq: c.routed, dst: dst, src: src, tag: tag, size: size})
+		if arrival < c.eot[dstNode] {
+			c.eot[dstNode] = arrival
+		}
 	}
+	c.stopIfDone(srcNode)
 }
 
-// drainInto appends every message queued for node i to its staging buffer
-// and returns how many it took. It must run after the horizon's clock/EOT
-// reads: anything pushed later carries an arrival beyond the horizon, so
-// missing it is harmless.
-//
-// Draining is also the custody handoff of the EOT/EIT protocol: before the
-// per-pair count is decremented — the signal that lets the sender's next
-// publish raise past its fire cap — node i's own published bound is lowered
-// to the drained arrivals, so the chains those messages carry are covered
-// by i's slot before the sender's slot releases them. The epoch bump makes
-// the hop visible to concurrent eitFor scans.
-func (c *Cluster) drainInto(i int) int {
-	st := c.staging[i]
-	taken := 0
-	for j := range c.queues {
-		if j == i || c.queues[j] == nil {
-			continue
-		}
-		q := c.queues[j][i]
-		if q == nil || q.n.Load() == 0 {
-			// A sender racing between its n.Add and the enqueue is missed
-			// here, but such a message was stamped after this node's clock
-			// reads: its arrival lies beyond the current horizon, and the
-			// next window's drain picks it up.
-			continue
-		}
-		first := len(st)
-		drained := 0
-		for {
-			select {
-			case m := <-q.ch:
-				st = append(st, m)
-				drained++
-				continue
-			default:
-			}
-			break
-		}
-		q.mu.Lock()
-		if len(q.overflow) > 0 {
-			st = append(st, q.overflow...)
-			drained += len(q.overflow)
-			q.overflow = q.overflow[:0]
-		}
-		q.mu.Unlock()
-		if drained > 0 {
-			if !c.cfg.FloorPacing {
-				minArr := sim.MaxTime
-				for _, m := range st[first:] {
-					if m.arrival < minArr {
-						minArr = m.arrival
-					}
-				}
-				slot := &c.eot[i]
-				if minArr < sim.Time(slot.Load()) {
-					slot.Store(int64(minArr))
-					c.eotEpoch.Add(1)
-				}
-			}
-			q.n.Add(int64(-drained))
-			taken += drained
-		}
-	}
-	c.staging[i] = st
-	return taken
-}
-
-// horizonFor computes node i's safe simulation horizon from the other
-// nodes' published clocks and the lookahead floor, capped at the run
-// horizon (done nodes publish MaxTime and stop constraining anyone).
-//
-// The horizon is STRICT: a peer sitting exactly at minOther can still send
-// a message with the minimum delay, which arrives at exactly
-// minOther+floor. Running through that instant inclusively would fire the
-// node's own events at minOther+floor before the late arrival is staged —
-// an ordering that depends on where the window boundary fell, i.e. on the
-// shard count. Stopping one tick short keeps every arrival strictly ahead
-// of the window, so any window cut injects the identical Schedule sequence.
-func (c *Cluster) horizonFor(i int) sim.Time {
-	minOther := sim.MaxTime
-	for j := range c.clocks {
-		if j == i {
-			continue
-		}
-		if cj := sim.Time(c.clocks[j].Load()); cj < minOther {
-			minOther = cj
-		}
-	}
-	if minOther >= c.horizon || c.floor-1 >= c.horizon-minOther {
-		return c.horizon
-	}
-	return minOther + c.floor - 1
-}
-
-// eitFor computes node i's earliest input time: every event chain not yet
-// injected somewhere is covered by its custodian's published bound and
-// pays at least the closure latency to reach i, so no message can arrive
-// at node i before min_j (eot[j] + reach[j][i]). The j = i term covers
-// i's own sends echoing back (cheapest round trip); directions with no
-// rank placement sit at MaxTime and never constrain.
-//
-// The scan is not atomic, and coverage can hop between slots mid-scan:
-// a receiver lowers its slot (custody) and the sender then raises past
-// its fire cap. Reading the receiver early (pre-lower) and the sender
-// late (post-raise) would miss the chain entirely, so the scan retries
-// until it straddles no custody lower (eotEpoch unchanged): then every
-// raise it observed had its paired lower before the scan began, and the
-// lowered slot value was read.
-func (c *Cluster) eitFor(i int) sim.Time {
-	for {
-		e0 := c.eotEpoch.Load()
-		eit := sim.MaxTime
-		for j := range c.eot {
-			if e := satAdd(sim.Time(c.eot[j].Load()), c.reach[j][i]); e < eit {
-				eit = e
+// inputBound returns node i's earliest input time: no message can arrive
+// at node i before it. Under floor pacing it is the slowest live peer's
+// clock plus the floor. Under EOT/EIT pacing every event chain not yet
+// injected is covered by some node's eot and pays at least the closure
+// latency to reach i, so it is min_j (eot[j] + reach[j][i]); the j = i term
+// covers i's own sends echoing back (cheapest round trip), and directions
+// with no rank placement sit at MaxTime and never constrain.
+func (c *Cluster) inputBound(i int) sim.Time {
+	if c.cfg.FloorPacing {
+		minOther := sim.MaxTime
+		for j, eng := range c.Engines {
+			if j != i && !c.done[j] && eng.Now() < minOther {
+				minOther = eng.Now()
 			}
 		}
-		if c.eotEpoch.Load() == e0 {
-			return eit
+		return satAdd(minOther, c.floor)
+	}
+	eit := sim.MaxTime
+	for j, e := range c.eot {
+		if e := satAdd(e, c.reach[j][i]); e < eit {
+			eit = e
 		}
 	}
+	return eit
 }
 
-// windowHorizon is the EOT/EIT window bound: one tick short of the node's
-// EIT (the same strictness argument as horizonFor — an arrival at exactly
-// EIT must stay ahead of the window), capped at the run horizon. Unlike
-// the floor cadence this is event-driven: when every peer's next event is
-// milliseconds away, the window spans milliseconds.
-func (c *Cluster) windowHorizon(i int) sim.Time {
-	if eit := c.eitFor(i); eit <= c.horizon {
+// windowFor is node i's safe window bound: one tick short of its input
+// bound, capped at the run horizon.
+//
+// The bound is STRICT: a message may arrive at exactly the input bound.
+// Running through that instant would fire the node's own events there
+// before the late arrival is staged — an ordering that depends on where
+// the window boundary fell. Stopping one tick short keeps every arrival
+// strictly ahead of the window, so any window cut injects the identical
+// Schedule sequence. Under EOT/EIT pacing the window is event-driven: when
+// every peer's next event is milliseconds away, it spans milliseconds.
+func (c *Cluster) windowFor(i int) sim.Time {
+	if eit := c.inputBound(i); eit <= c.horizon {
 		return eit - 1
 	}
 	return c.horizon
 }
 
-// satAdd is a+b saturating at MaxTime (done nodes and traffic-free pairs
-// publish MaxTime, and MaxTime plus any latency must not wrap negative).
+// satAdd is a+b saturating at MaxTime (finished nodes and traffic-free
+// pairs carry MaxTime, and MaxTime plus any latency must not wrap
+// negative).
 func satAdd(a, b sim.Time) sim.Time {
 	if s := a + b; s >= a {
 		return s
@@ -740,35 +540,23 @@ func satAdd(a, b sim.Time) sim.Time {
 	return sim.MaxTime
 }
 
-// publishEOT recomputes node i's coverage bound over everything currently
-// in its custody and stores it, reporting whether the bound ROSE (the only
-// change that can open a peer's window). It must run with i's engine
-// quiescent (between windows, on the owner shard).
-//
-// The bound is the min of four terms:
+// publishEOT recomputes node i's coverage bound after a window. It is the
+// min of three terms:
 //
 //   - Engine.NextEventAt — every pending local event. This undercuts a
 //     pure origin bound (message-caused events are counted even though
-//     their chains are also covered at upstream custodians), which is
-//     merely conservative.
-//   - the earliest staged (drained-but-uninjected) arrival.
+//     their chains are also covered upstream), which is merely
+//     conservative.
+//   - the earliest staged arrival.
 //   - the node's clock when the transport reports unflushed deferred
 //     sends — a belt-and-braces cross-check; between windows every rank
 //     body is parked in a blocking call with its deferred-step queue
 //     flushed, so any send the engine probe cannot see is scheduled and
 //     already counted.
-//   - each out-queue's fire cap (pairQueue.capW) while the receiver has
-//     not yet drained it. A cap is cleared — releasing custody — only
-//     when the undrained count reads 0, which the receiver decrements
-//     AFTER lowering its own slot to the staged arrivals (drainInto), or
-//     when the receiver has finished (its chains die undelivered).
 //
-// The store is NOT monotone: new sends pushed this window can legitimately
-// pull the bound below the previous publish. Readers that still see the
-// old value are safe — the old bound was ≤ the first event this window
-// fired, hence ≤ every fire instant of the window's pushes — and lowers
-// within one slot never need the epoch (coverage never hops here).
-func (c *Cluster) publishEOT(i int) bool {
+// The bound may fall below the previous one: a window can stage new
+// events earlier than the old next event.
+func (c *Cluster) publishEOT(i int) {
 	bound := c.Engines[i].NextEventAt()
 	for _, m := range c.staging[i] {
 		if m.arrival < bound {
@@ -780,35 +568,18 @@ func (c *Cluster) publishEOT(i int) bool {
 			bound = now
 		}
 	}
-	for k, q := range c.queues[i] {
-		if q == nil || q.capW == sim.MaxTime {
-			continue
-		}
-		if q.n.Load() == 0 || sim.Time(c.clocks[k].Load()) == sim.MaxTime {
-			q.capW = sim.MaxTime
-			continue
-		}
-		if q.capW < bound {
-			bound = q.capW
-		}
-	}
-	slot := &c.eot[i]
-	old := sim.Time(slot.Load())
-	if bound != old {
-		slot.Store(int64(bound))
-	}
-	return bound > old
+	c.eot[i] = bound
 }
 
 // afterRun classifies why a node's engine came back from Run: still going
-// (false), finished its ranks, or interrupted — the latter aborts the whole
-// cluster. It returns true when the node must not be stepped further.
+// (false), finished its ranks and their sends, or interrupted — the latter
+// aborts the whole cluster. It returns true when the node must not be
+// stepped further.
 func (c *Cluster) afterRun(i int) bool {
-	eng := c.Engines[i]
-	if !eng.Stopped() {
+	if !c.Engines[i].Stopped() {
 		return false
 	}
-	if c.pending[i] == 0 {
+	if c.pending[i] == 0 && c.World.NodePendingSends(i) == 0 {
 		c.finish(i, false)
 		return true
 	}
@@ -816,138 +587,42 @@ func (c *Cluster) afterRun(i int) bool {
 	if c.cfg.OnNodeStop != nil {
 		cause = c.cfg.OnNodeStop(i)
 	}
-	c.abortWith(&InterruptError{Node: i, Cause: cause})
+	c.abortErr = &InterruptError{Node: i, Cause: cause}
 	return true
 }
 
-// flushEOT recomputes a FINISHED node's coverage bound: only its out-queue
-// fire caps remain (the engine is stopped and staged messages die
-// undelivered), so the bound rises to MaxTime as receivers drain — at
-// which point the node stops constraining every peer's EIT. The owner
-// shard keeps polling it after finish (runShard) until fully flushed.
-// Returns whether the bound rose.
-func (c *Cluster) flushEOT(i int) bool {
-	bound := sim.MaxTime
-	for k, q := range c.queues[i] {
-		if q == nil || q.capW == sim.MaxTime {
-			continue
-		}
-		if q.n.Load() == 0 || sim.Time(c.clocks[k].Load()) == sim.MaxTime {
-			q.capW = sim.MaxTime
-			continue
-		}
-		if q.capW < bound {
-			bound = q.capW
-		}
-	}
-	slot := &c.eot[i]
-	old := sim.Time(slot.Load())
-	if bound != old {
-		slot.Store(int64(bound))
-	}
-	return bound > old
-}
-
 // finish marks node i complete: its end is its engine's current instant
-// (the last rank's exit, or the run horizon when capped), and its
-// published clock becomes MaxTime so it stops constraining the others.
-// Its coverage bound is released too — immediately under floor pacing,
-// and as receivers drain its in-flight sends under EOT/EIT.
+// (the last rank's exit, or the run horizon when capped), and it stops
+// constraining the others. Messages still staged for it die undelivered.
 func (c *Cluster) finish(i int, capped bool) {
 	c.done[i] = true
+	c.live--
 	c.capped[i] = capped
 	c.ends[i] = c.Engines[i].Now()
-	c.clocks[i].Store(int64(sim.MaxTime))
-	if c.cfg.FloorPacing {
-		c.eot[i].Store(int64(sim.MaxTime))
-	} else {
-		c.flushEOT(i)
-	}
-	c.bump()
+	c.eot[i] = sim.MaxTime
+	c.staging[i] = nil
 }
 
-func (c *Cluster) abortWith(err error) {
-	c.abortMu.Lock()
-	if c.abortErr == nil {
-		c.abortErr = err
-	}
-	c.abortMu.Unlock()
-	c.abort.Store(true)
-	c.bump()
-}
-
-// bump publishes cluster-wide progress and wakes any parked shard. The
-// generation increment is sequenced before the waiter check, and a parking
-// shard increments parked (under progressMu) before re-checking the
-// generation — so either the parker sees the new generation and never
-// waits, or this bump sees parked > 0 and broadcasts under the mutex the
-// parker holds until its Wait releases it. No wakeup can be lost.
-func (c *Cluster) bump() {
-	c.progressGen.Add(1)
-	if c.parked.Load() == 0 {
-		return
-	}
-	c.progressMu.Lock()
-	c.progress.Broadcast()
-	c.progressMu.Unlock()
-}
-
-// stepNode advances node i by one lookahead window. It returns true if the
-// node made progress (fired events, moved its clock, or raised its EOT
-// row).
+// stepNode advances node i by one lookahead window. It returns false when
+// the node's window bound has not moved past its clock.
 //
-// The injection protocol is what makes window boundaries — which depend on
-// shard interleaving — invisible: staged messages are sorted into the total
-// order (arrival, srcNode, seq); for each distinct arrival T the engine
-// first runs to exactly T−1 (so all local events before T hold their event
-// sequence numbers), then the deliveries at T are scheduled in sorted
-// order; finally the engine runs to the window horizon. Any shard count
-// executes the identical Schedule-call sequence on this engine — and the
-// horizon rule (floor cadence or EOT/EIT) only moves those boundaries, so
-// both pacings execute it too (TestLookaheadFloorEquivalence).
+// The injection protocol is what makes window boundaries invisible: staged
+// messages are sorted into the total order (arrival, srcNode, seq); for
+// each distinct arrival T the engine first runs to exactly T−1 (so all
+// local events before T hold their event sequence numbers), then the
+// deliveries at T are scheduled in sorted order; finally the engine runs
+// to the window bound. Wherever the windows are cut, this engine executes
+// the identical Schedule-call sequence — so both pacings do too
+// (TestLookaheadFloorEquivalence).
 func (c *Cluster) stepNode(i int) bool {
 	eng := c.Engines[i]
 	now := eng.Now()
-	var h sim.Time
-	if c.cfg.FloorPacing {
-		h = c.horizonFor(i)
-	} else {
-		h = c.windowHorizon(i)
-	}
+	h := c.windowFor(i)
 	if h <= now {
-		if c.cfg.FloorPacing {
-			return false
-		}
-		// Blocked on a peer's bound. Still drain: taking custody of any
-		// in-flight message (lowering this slot, decrementing the pair
-		// count) is what lets the SENDER's next publish raise past its
-		// fire cap — a blocked node that never drained would pin its
-		// senders forever. Then republish: a cap of our own may have
-		// lifted since the last window (a receiver drained us), which
-		// raises peers' EITs. Either change bumps so parked shards
-		// re-evaluate; progress is claimed only when something moved, so
-		// an idle blocked node still parks.
-		took := c.drainInto(i) > 0
-		rose := c.publishEOT(i)
-		if took || rose {
-			c.bump()
-			return true
-		}
 		return false
 	}
-	c.drainInto(i)
 	st := c.staging[i]
-	if len(st) > 1 {
-		sort.Slice(st, func(a, b int) bool {
-			if st[a].arrival != st[b].arrival {
-				return st[a].arrival < st[b].arrival
-			}
-			if st[a].srcNode != st[b].srcNode {
-				return st[a].srcNode < st[b].srcNode
-			}
-			return st[a].seq < st[b].seq
-		})
-	}
+	slices.SortFunc(st, cmpXmsg)
 	pos := 0
 	for pos < len(st) {
 		t := st[pos].arrival
@@ -956,7 +631,6 @@ func (c *Cluster) stepNode(i int) bool {
 		}
 		eng.Run(t - 1)
 		if c.afterRun(i) {
-			c.consumeStaged(i, pos)
 			return true
 		}
 		for pos < len(st) && st[pos].arrival == t {
@@ -982,14 +656,10 @@ func (c *Cluster) stepNode(i int) bool {
 	if c.afterRun(i) {
 		return true
 	}
-	c.clocks[i].Store(int64(eng.Now()))
 	if eng.Now() >= c.horizon {
 		c.finish(i, c.pending[i] > 0)
-	} else {
-		if !c.cfg.FloorPacing {
-			c.publishEOT(i)
-		}
-		c.bump()
+	} else if !c.cfg.FloorPacing {
+		c.publishEOT(i)
 	}
 	return true
 }
@@ -1008,8 +678,8 @@ func (c *Cluster) Windows() int64 {
 
 // WindowsElided returns the estimated number of floor-cadence windows the
 // EOT/EIT horizon collapsed (valid after Run; 0 under FloorPacing). The
-// count depends on where shard scheduling happens to cut the windows, so
-// it is a diagnostic — never part of a determinism-pinned artifact.
+// count depends on where the pacing cuts the windows, so it is a
+// diagnostic — never part of a determinism-pinned artifact.
 func (c *Cluster) WindowsElided() int64 {
 	var n int64
 	for _, e := range c.elided {
@@ -1024,75 +694,11 @@ func (c *Cluster) consumeStaged(i, n int) {
 	c.staging[i] = st[:copy(st, st[n:])]
 }
 
-// shardSpinPasses bounds how many fruitless passes a shard burns yielding
-// the OS thread before it parks on the progress condition. A couple of
-// spins cover the common case where a peer's window is about to land;
-// beyond that, spinning only steals cycles from the engines doing the
-// actual work (catastrophically so under the race detector, where every
-// polled atomic is instrumented).
-const shardSpinPasses = 8
-
-// runShard advances the nodes dealt to shard s until they all finish or
-// the cluster aborts. Shards never block on each other's windows: a node
-// that cannot advance (its horizon has not moved) is skipped. A pass with
-// no progress first yields the OS thread, then — after shardSpinPasses
-// fruitless passes — parks until any peer publishes a clock, finishes, or
-// aborts (every such event bumps the progress generation).
-func (c *Cluster) runShard(s int) {
-	n := len(c.Engines)
-	spins := 0
-	for {
-		if c.abort.Load() {
-			return
-		}
-		gen := c.progressGen.Load()
-		progress, left := false, 0
-		for i := s; i < n; i += c.shards {
-			if c.done[i] {
-				// A finished node still holds fire caps for sends its
-				// receivers have not drained; keep flushing until its
-				// bound reaches MaxTime so peers' EITs are released.
-				if !c.cfg.FloorPacing && sim.Time(c.eot[i].Load()) != sim.MaxTime {
-					left++
-					if c.flushEOT(i) {
-						progress = true
-						c.bump()
-					}
-				}
-				continue
-			}
-			left++
-			if c.stepNode(i) {
-				progress = true
-			}
-		}
-		if left == 0 {
-			return
-		}
-		if progress {
-			spins = 0
-			continue
-		}
-		if spins < shardSpinPasses {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		c.progressMu.Lock()
-		c.parked.Add(1)
-		for c.progressGen.Load() == gen && !c.abort.Load() {
-			c.progress.Wait()
-		}
-		c.parked.Add(-1)
-		c.progressMu.Unlock()
-		spins = 0
-	}
-}
-
-// Run advances all nodes until every spawned rank has exited or the horizon
-// passes, and returns the cluster end time — the latest node end. The
-// error is non-nil only when a node was interrupted (watchdog or context
-// hook); the caller still owns Settle/Shutdown.
+// Run advances the nodes in turn on the calling goroutine until every
+// spawned rank has exited or the horizon passes, and returns the cluster
+// end time — the latest node end. Each pass steps every live node by one
+// window. The error is non-nil only when a node was interrupted (watchdog
+// or context hook); the caller still owns Settle/Shutdown.
 func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 	if !c.finalized {
 		if err := c.Finalize(); err != nil {
@@ -1103,16 +709,20 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 		horizon = 3600 * sim.Second
 	}
 	c.horizon = horizon
-	var wg sync.WaitGroup
-	for s := 1; s < c.shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			c.runShard(s)
-		}(s)
+	for c.live > 0 && c.abortErr == nil {
+		progress := false
+		for i := range c.Engines {
+			if !c.done[i] && c.stepNode(i) {
+				progress = true
+				if c.abortErr != nil {
+					break
+				}
+			}
+		}
+		if !progress {
+			c.stalled()
+		}
 	}
-	c.runShard(0)
-	wg.Wait()
 	var end sim.Time
 	for i := range c.ends {
 		if !c.done[i] {
@@ -1123,10 +733,33 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 			end = c.ends[i]
 		}
 	}
-	c.abortMu.Lock()
-	err := c.abortErr
-	c.abortMu.Unlock()
-	return end, err
+	return end, c.abortErr
+}
+
+// stalled panics after a pass in which no live node could advance. With
+// one goroutine nothing changes between passes, so the run could never
+// recover; and while the bounds are sound it cannot happen, because the
+// live node with the smallest bound (eot, or clock under floor pacing)
+// always has an input bound ≥ its own bound + floor ≥ its clock + 2, so a
+// window past its clock. Reaching this is a protocol bug.
+func (c *Cluster) stalled() {
+	n := -1
+	for i := range c.Engines {
+		if !c.done[i] && (n < 0 || c.bound(i) < c.bound(n)) {
+			n = i
+		}
+	}
+	panic(fmt.Sprintf("cluster: no node can advance: node %d at %v has EIT %v",
+		n, c.Engines[n].Now(), c.inputBound(n)))
+}
+
+// bound is the quantity the pacing orders nodes by: eot under EOT/EIT,
+// the clock under floor pacing.
+func (c *Cluster) bound(i int) sim.Time {
+	if c.cfg.FloorPacing {
+		return c.Engines[i].Now()
+	}
+	return c.eot[i]
 }
 
 // NodeEnd returns node i's end instant (after Run).
@@ -1135,20 +768,10 @@ func (c *Cluster) NodeEnd(i int) sim.Time { return c.ends[i] }
 // Capped reports whether node i hit the run horizon with ranks pending.
 func (c *Cluster) Capped(i int) bool { return c.capped[i] }
 
-// GVT returns the global virtual time: the minimum over all node ends and
-// published clocks — every event before it has fired on every node.
+// GVT returns the global virtual time after Run: the minimum over all node
+// ends — every event before it has fired on every node.
 func (c *Cluster) GVT() sim.Time {
-	gvt := sim.MaxTime
-	for i := range c.clocks {
-		cl := sim.Time(c.clocks[i].Load())
-		if c.done[i] {
-			cl = c.ends[i]
-		}
-		if cl < gvt {
-			gvt = cl
-		}
-	}
-	return gvt
+	return slices.Min(c.ends)
 }
 
 // Settle closes the open busy-accounting stretches of every node, the step

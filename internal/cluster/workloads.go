@@ -14,10 +14,9 @@ import (
 // Cluster-scaled builders for the paper's workloads: the same per-rank
 // bodies as internal/workloads, with the rank count multiplied across
 // nodes and every rank drawing jitter from its own derived RNG stream.
-// The per-rank streams matter twice over here: node engines run on
-// different shards (a shared Split() stream would race), and the draw
-// order must be a function of the rank alone so any shard interleaving
-// yields the identical workload.
+// The per-rank streams make the draw order a function of the rank alone,
+// so the workload is identical wherever the lookahead windows fall and
+// however the node engines' steps interleave.
 
 // clusterRankSalt separates the per-rank workload RNG streams.
 const clusterRankSalt = 0x2a8c_0000_0000_0000

@@ -29,9 +29,6 @@ const clusterFaultSalt = 0xfa17_c105_0000_0000
 type ClusterInfo struct {
 	Nodes    int
 	Topology string
-	// Shards is the effective shard count the run used (after the ≤ 0 →
-	// GOMAXPROCS default and the clamp to Nodes). It never affects results.
-	Shards int
 	// Floor is the conservative lookahead floor the PDES ran with.
 	Floor sim.Time
 	// GVT is the final global virtual time (min over node ends).
@@ -43,16 +40,16 @@ type ClusterInfo struct {
 	// RankNodes[i] is the node rank i was placed on.
 	RankNodes []int
 	// Recorders are the per-node trace recorders (nil entries unless
-	// Config.Trace; Config.TraceSink is ignored for cluster runs — a single
-	// sink cannot be shared across concurrently-advancing node engines).
+	// Config.Trace; Config.TraceSink is ignored for cluster runs — one
+	// streaming sink cannot interleave the per-node timelines).
 	Recorders []*trace.Recorder
 	// Kernels are the per-node kernels, shut down; inspect counters only.
 	Kernels []*sched.Kernel
 	// Windows counts the lookahead windows the PDES executed across all
 	// nodes; WindowsElided estimates the floor-cadence windows the EOT/EIT
-	// lookahead collapsed. Both depend on shard scheduling, so they are
+	// lookahead collapsed. Both depend on the pacing, so they are
 	// diagnostics — deliberately absent from ClusterTimeline, which is
-	// pinned byte-for-byte across shard counts.
+	// pinned byte-for-byte across pacings.
 	Windows       int64
 	WindowsElided int64
 }
@@ -61,7 +58,7 @@ type ClusterInfo struct {
 // noise, trace and fault assembly as the single-node path, replicated once
 // per node, with the workload scaled across the cluster and the node engines
 // advanced by the conservative PDES of internal/cluster. Determinism carries
-// over: the result is byte-identical at any Config.Shards.
+// over: the result is byte-identical under either pacing (Config.FloorPacing).
 func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 	topology := cfg.Topology
 	if topology == "" {
@@ -73,16 +70,13 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 
 	cl, err := cluster.New(cluster.Config{
 		Nodes:       cfg.Nodes,
-		Shards:      cfg.Shards,
 		Topology:    cfg.Topology,
 		Seed:        cfg.Seed,
 		FloorPacing: cfg.FloorPacing,
 		MPI:         mpi.DefaultOptions(),
 		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
-			// Each node is a full copy of the paper's machine. The perf
-			// model is built per node unless overridden: node kernels run on
-			// different shards, so a caller-supplied Config.PerfModel must
-			// be safe for concurrent use.
+			// Each node is a full copy of the paper's machine, with its own
+			// perf model unless Config.PerfModel overrides it for all.
 			pm := cfg.PerfModel
 			if pm == nil {
 				pm = power5.NewCalibratedPerfModel()
@@ -242,7 +236,6 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 	info := &ClusterInfo{
 		Nodes:     cfg.Nodes,
 		Topology:  topology,
-		Shards:    cl.Shards(),
 		Floor:     cl.Floor(),
 		GVT:       cl.GVT(),
 		NodeEnds:  make([]sim.Time, cfg.Nodes),
@@ -307,8 +300,8 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 
 // clusterFaultTimeline merges the per-node applied-action logs, each line
 // prefixed with its node, in node order. Like the single-node timeline it is
-// a pure function of (spec, seed, machine, topology) — the shard-invariance
-// tests compare it byte-for-byte across shard counts.
+// a pure function of (spec, seed, machine, topology) — the pacing
+// equivalence tests compare it byte-for-byte across pacings.
 func clusterFaultTimeline(injs []*faults.Injector) string {
 	var b strings.Builder
 	for node, inj := range injs {
@@ -325,8 +318,8 @@ func clusterFaultTimeline(injs []*faults.Injector) string {
 // ClusterTimeline renders a cluster run's deterministic fingerprint: the
 // run parameters, per-node ends and message counters, one line per rank
 // with its placement and summary metrics, and the fault timeline. Two runs
-// of the same configuration produce byte-identical timelines at any shard
-// count and GOMAXPROCS — the goldens pin exactly this string.
+// of the same configuration produce byte-identical timelines under either
+// pacing and at any GOMAXPROCS — the goldens pin exactly this string.
 func ClusterTimeline(res Result) string {
 	ci := res.Cluster
 	if ci == nil {

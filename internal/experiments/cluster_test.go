@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -20,14 +19,13 @@ var update = os.Getenv("UPDATE_GOLDEN") != ""
 
 // clusterCfg builds a small multi-node run: the paper workloads with their
 // iteration counts shrunk so a full cluster simulation stays test-sized.
-func clusterCfg(workload string, nodes, shards int, topology string, seed uint64) Config {
+func clusterCfg(workload string, nodes int, topology string, seed uint64) Config {
 	return Config{
 		Workload: workload,
 		Mode:     ModeAdaptive,
 		Seed:     seed,
 		Nodes:    nodes,
 		Topology: topology,
-		Shards:   shards,
 		Trace:    true,
 		TweakMetBench: func(c *workloads.MetBenchConfig) {
 			c.Iterations = 3
@@ -52,14 +50,21 @@ func clusterCfg(workload string, nodes, shards int, topology string, seed uint64
 	}
 }
 
-// clusterRunFingerprint runs the config and renders everything the shard
-// count must not change: the cluster timeline, the fault timeline and every
-// node's rendered .prv trace.
+// clusterRunFingerprint runs the config and renders everything the pacing
+// must not change: the cluster timeline, the fault timeline and every
+// node's rendered .prv trace. A node capped at the horizon fails the test:
+// these workloads all finish well inside it, so a capped node is a hung
+// run, and two hung runs would compare equal.
 func clusterRunFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
 	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("cluster run failed: %v", err)
+	}
+	for node, capped := range res.Cluster.Capped {
+		if capped {
+			t.Fatalf("node %d capped at the %v horizon; the run hung", node, res.ExecTime)
+		}
 	}
 	var b strings.Builder
 	b.WriteString(ClusterTimeline(res))
@@ -73,20 +78,12 @@ func clusterRunFingerprint(t *testing.T, cfg Config) string {
 }
 
 // TestClusterGoldenTimeline pins the headline determinism claim: the
-// 4-node BT-MZ cluster timeline is byte-identical at 1 shard, 4 shards and
-// GOMAXPROCS shards, and matches the committed golden byte-for-byte.
+// 4-node BT-MZ cluster timeline matches the committed golden byte-for-byte.
 // Regenerate with UPDATE_GOLDEN=1.
 func TestClusterGoldenTimeline(t *testing.T) {
-	base := clusterCfg("btmz", 4, 1, "flat", 42)
-	base.Faults = faults.MustParse("slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s")
-	got := clusterRunFingerprint(t, base)
-	for _, shards := range []int{4, runtime.GOMAXPROCS(0)} {
-		cfg := base
-		cfg.Shards = shards
-		if sharded := clusterRunFingerprint(t, cfg); sharded != got {
-			t.Fatalf("shards=%d run differs from sequential:\n%s", shards, firstDiff(got, sharded))
-		}
-	}
+	cfg := clusterCfg("btmz", 4, "flat", 42)
+	cfg.Faults = faults.MustParse("slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s")
+	got := clusterRunFingerprint(t, cfg)
 	path := filepath.Join("testdata", "golden_cluster_btmz.txt")
 	if update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -113,37 +110,10 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(wl), len(gl))
 }
 
-// TestClusterShardEquivalenceRandomized sweeps seeds, topologies and
-// workloads, requiring the sharded run to reproduce the sequential run
-// byte-for-byte — timelines, fault logs and traces.
-func TestClusterShardEquivalenceRandomized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	seeds := []uint64{1, 1043}
-	topologies := []string{"flat", "ring", "star"}
-	for _, workload := range []string{"metbench", "matmul", "siesta", "metbenchvar"} {
-		for _, seed := range seeds {
-			for _, topo := range topologies {
-				name := fmt.Sprintf("%s/%s/seed%d", workload, topo, seed)
-				t.Run(name, func(t *testing.T) {
-					cfg := clusterCfg(workload, 3, 1, topo, seed)
-					cfg.Faults = faults.MustParse("stall:n=1,dur=100ms,by=1s")
-					seq := clusterRunFingerprint(t, cfg)
-					cfg.Shards = 4
-					if got := clusterRunFingerprint(t, cfg); got != seq {
-						t.Errorf("sharded run diverges:\n%s", firstDiff(seq, got))
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestClusterFaultTimelinePerNode: every node compiles and applies its own
 // timeline, and the merged log prefixes each line with its node.
 func TestClusterFaultTimelinePerNode(t *testing.T) {
-	cfg := clusterCfg("metbench", 2, 2, "flat", 7)
+	cfg := clusterCfg("metbench", 2, "flat", 7)
 	cfg.Faults = faults.MustParse("slow:n=1,factor=0.5,dur=200ms,by=1s")
 	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
@@ -164,7 +134,7 @@ func TestClusterCancelAborts(t *testing.T) {
 	t.Setenv("HPCSCHED_DIAG_DIR", dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := clusterCfg("metbench", 2, 2, "flat", 3)
+	cfg := clusterCfg("metbench", 2, "flat", 3)
 	// Cancellation is polled every interruptStride fired events; keep the
 	// full-size workload so every node comfortably outlives the first poll.
 	cfg.TweakMetBench = nil
@@ -197,16 +167,16 @@ func TestClusterCancelAborts(t *testing.T) {
 func TestScenarioSpecClusterFields(t *testing.T) {
 	spec := ScenarioSpec{
 		Workload: "btmz", Mode: ModeUniform, Seed: 5,
-		Nodes: 4, Topology: "ring", Shards: 2, Replicas: 2,
+		Nodes: 4, Topology: "ring", Replicas: 2,
 	}
 	cfgs := spec.Configs()
 	if len(cfgs) != 2 {
 		t.Fatalf("expanded %d configs, want 2", len(cfgs))
 	}
 	for i, c := range cfgs {
-		if c.Nodes != 4 || c.Topology != "ring" || c.Shards != 2 {
-			t.Errorf("config %d lost cluster fields: nodes=%d topology=%q shards=%d",
-				i, c.Nodes, c.Topology, c.Shards)
+		if c.Nodes != 4 || c.Topology != "ring" {
+			t.Errorf("config %d lost cluster fields: nodes=%d topology=%q",
+				i, c.Nodes, c.Topology)
 		}
 	}
 }
@@ -216,7 +186,7 @@ func TestScenarioSpecClusterFields(t *testing.T) {
 // and traffic crosses the interconnect.
 func TestClusterPlacementSpansNodes(t *testing.T) {
 	for _, workload := range []string{"metbench", "btmz", "matmul"} {
-		cfg := clusterCfg(workload, 2, 2, "flat", 9)
+		cfg := clusterCfg(workload, 2, "flat", 9)
 		res, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", workload, err)
@@ -234,33 +204,51 @@ func TestClusterPlacementSpansNodes(t *testing.T) {
 	}
 }
 
-// TestLookaheadFloorEquivalence is the pacing counterpart of the shard
-// sweep: the EOT/EIT lookahead only moves sync-window boundaries, so every
-// run — across node counts, topologies and seeds — must be byte-identical
-// to the same run forced onto the clock+floor cadence (Config.FloorPacing),
-// timelines, fault logs and traces included.
+// TestLookaheadFloorEquivalence is the PDES determinism sweep: the EOT/EIT
+// lookahead only moves sync-window boundaries, so every run must be
+// byte-identical to the same run forced onto the clock+floor cadence
+// (Config.FloorPacing), timelines, fault logs and traces included. The
+// grid covers BT-MZ at 2, 4 and 16 nodes and every other workload at 3
+// nodes, each over every topology and two seeds with a stall fault.
 func TestLookaheadFloorEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
+	type input struct {
+		name string
+		cfg  Config
+	}
+	var inputs []input
 	seeds := []uint64{1, 1043}
 	topologies := []string{"flat", "ring", "star"}
 	for _, nodes := range []int{2, 4, 16} {
 		for _, seed := range seeds {
 			for _, topo := range topologies {
-				name := fmt.Sprintf("n%d/%s/seed%d", nodes, topo, seed)
-				t.Run(name, func(t *testing.T) {
-					cfg := clusterCfg("btmz", nodes, 1, topo, seed)
-					cfg.TweakBTMZ = func(c *workloads.BTMZConfig) { c.Iterations = 2 }
-					cfg.Faults = faults.MustParse("stall:n=1,dur=100ms,by=1s")
-					cfg.FloorPacing = true
-					floor := clusterRunFingerprint(t, cfg)
-					cfg.FloorPacing = false
-					if got := clusterRunFingerprint(t, cfg); got != floor {
-						t.Errorf("lookahead run diverges from floor pacing:\n%s", firstDiff(floor, got))
-					}
-				})
+				cfg := clusterCfg("btmz", nodes, topo, seed)
+				cfg.TweakBTMZ = func(c *workloads.BTMZConfig) { c.Iterations = 2 }
+				inputs = append(inputs, input{fmt.Sprintf("n%d/%s/seed%d", nodes, topo, seed), cfg})
 			}
 		}
+	}
+	for _, workload := range []string{"metbench", "matmul", "siesta", "metbenchvar"} {
+		for _, seed := range seeds {
+			for _, topo := range topologies {
+				cfg := clusterCfg(workload, 3, topo, seed)
+				inputs = append(inputs, input{fmt.Sprintf("%s/%s/seed%d", workload, topo, seed), cfg})
+			}
+		}
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := in.cfg
+			cfg.Faults = faults.MustParse("stall:n=1,dur=100ms,by=1s")
+			cfg.FloorPacing = true
+			floor := clusterRunFingerprint(t, cfg)
+			cfg.FloorPacing = false
+			if got := clusterRunFingerprint(t, cfg); got != floor {
+				t.Errorf("lookahead run diverges from floor pacing:\n%s", firstDiff(floor, got))
+			}
+		})
 	}
 }

@@ -79,15 +79,12 @@ type Config struct {
 	// Nodes, when > 1, scales the workload across a simulated cluster of
 	// that many nodes — each a full copy of the paper's machine with its
 	// own kernel, noise and (per-node-scoped) faults — coupled by the
-	// inter-node MPI latency model and advanced as a sharded conservative
-	// PDES (internal/cluster). 0 or 1 is the classic single-node run.
+	// inter-node MPI latency model and advanced as a conservative PDES
+	// (internal/cluster). 0 or 1 is the classic single-node run.
 	Nodes int
 	// Topology shapes inter-node latencies for cluster runs: "flat"
 	// (default), "ring" or "star".
 	Topology string
-	// Shards is the parallelism of a cluster run (≤ 0 → GOMAXPROCS). Any
-	// shard count produces the byte-identical simulation.
-	Shards int
 	// FloorPacing forces a cluster run onto the clock+floor window cadence
 	// instead of the default EOT/EIT lookahead. Results are byte-identical
 	// either way; the knob exists for the equivalence suite that proves it.

@@ -73,13 +73,15 @@ type ScenarioSpec struct {
 	Seeds    []uint64
 	Replicas int
 
-	// Nodes/Topology/Shards select a cluster run (see Config): Nodes > 1
-	// scales the workload across that many simulated nodes, Topology shapes
-	// the interconnect, Shards sets the PDES parallelism (results are
-	// shard-invariant).
+	// Nodes/Topology select a cluster run (see Config): Nodes > 1 scales
+	// the workload across that many simulated nodes, and Topology shapes
+	// the interconnect.
 	Nodes    int
 	Topology string
-	Shards   int
+	// Shards once set the cluster runner's goroutine count.
+	//
+	// Deprecated: ignored; cluster runs advance on one goroutine.
+	Shards int
 
 	// Faults is the perturbation request (zero → provably no faults).
 	// FaultSeed pins the fault timeline independently of the run seed so
@@ -122,9 +124,6 @@ func (s ScenarioSpec) baseConfig() Config {
 	}
 	if s.Topology != "" {
 		c.Topology = s.Topology
-	}
-	if s.Shards != 0 {
-		c.Shards = s.Shards
 	}
 	c.Faults = s.Faults
 	c.FaultSeed = s.FaultSeed

@@ -94,21 +94,21 @@ type delivery struct {
 const initialInboxCap = 16
 
 // Router delivers messages between ranks whose nodes run on different
-// engines (the sharded-cluster transport, internal/cluster). RouteMessage
-// is called on the *sender's* engine goroutine at the virtual instant the
-// send overhead completes, with the arrival instant already stamped; the
+// engines (the cluster transport, internal/cluster). RouteMessage is
+// called from the *sender's* engine at the virtual instant the send
+// overhead completes, with the arrival instant already stamped; the
 // router must hand the message to dst's engine so that dst.Deliver runs
 // there at exactly that instant. Stamping the arrival at send time — not
 // enqueueing at arrival time — is what makes the conservative-lookahead
-// bound sound: every message a node has not yet pushed is guaranteed to
-// arrive strictly later than its published clock plus the latency floor.
+// bound sound: every message a node has not yet routed is guaranteed to
+// arrive strictly later than its clock plus the latency floor.
 type Router interface {
 	RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *Rank, src, tag int, size int64)
 }
 
 // nodeState is the per-node half of the transport: everything Send touches
-// that would be shared mutable state across cluster shards lives here, so
-// two nodes on different engines never write the same memory. Single-node
+// on behalf of one node's engine — counters, pools, the fault delay knob —
+// lives here, so each node engine owns its own transport state. Single-node
 // worlds have exactly one, and the hot path is unchanged: the rank carries
 // a pointer, and the counter increments and pool operations cost the same
 // as the former World fields.
@@ -239,8 +239,7 @@ func (w *World) SetExtraDelay(d sim.Time) { w.SetNodeExtraDelay(0, d) }
 
 // SetNodeExtraDelay scopes the fault-injected latency add-on to one node's
 // outgoing messages: per-node fault schedules then compose with the
-// rank-pair topology extras instead of overwriting each other, and two
-// nodes' injectors never write the same word from different shards.
+// rank-pair topology extras instead of overwriting each other.
 func (w *World) SetNodeExtraDelay(node int, d sim.Time) {
 	if d < 0 {
 		d = 0
@@ -303,9 +302,7 @@ func (w *World) MinPairExtraDelay(pairs [][2]int) sim.Time {
 	return min
 }
 
-// MsgCount returns the number of messages sent, summed over nodes. Read it
-// only after the run completes (cluster shards update per-node counters
-// concurrently while running).
+// MsgCount returns the number of messages sent, summed over nodes.
 func (w *World) MsgCount() int64 {
 	var n int64
 	for _, ns := range w.nodes {
@@ -344,7 +341,7 @@ func (w *World) NodeMsgStats(node int) (count, bytes, remote int64) {
 // possible cross-node output is bounded below by its engine's
 // NextEventAt() — the refinement the cluster's EOT publication uses. Must
 // be called only while the node's engine is quiescent (between lookahead
-// windows, from the shard that owns the node).
+// windows) or from that engine's own callbacks.
 func (w *World) NodePendingSends(node int) int64 {
 	return w.nodes[node].pendingRoutes
 }
@@ -362,8 +359,8 @@ func (w *World) post(target *Rank, m message, delay sim.Time) {
 // drawDelivery takes a pooled delivery object, loads it with target and
 // payload, and returns it; its pre-bound fire callback is then scheduled by
 // the caller — immediately, or as a deferred step at the virtual instant
-// the sender's overhead charge completes. The pool is per node, so cluster
-// shards never contend on the free list.
+// the sender's overhead charge completes. The pool is per node: a delivery
+// returns to the free list of the node whose engine fired it.
 func (ns *nodeState) drawDelivery(target *Rank, m message) *delivery {
 	d := ns.freeDeliv
 	if d == nil {
@@ -586,7 +583,7 @@ func (r *Rank) Send(dst, tag int, size int64) {
 		delay += w.pairExtra[r.id*len(w.ranks)+dst]
 	}
 	if target.ns != ns {
-		// Cross-shard: defer a zero-delay route step so the arrival is
+		// Cross-node: defer a zero-delay route step so the arrival is
 		// stamped at the exact instant the overhead charge completes, then
 		// let the router carry it to the target's engine.
 		rr := ns.drawRoute(w, target, r.id, tag, size, delay)
@@ -837,11 +834,11 @@ func (r *Rank) waitallCheckFn() (done bool, reply any) {
 // the former flush-then-arrive sequence used — so the entire barrier costs
 // each rank one rendezvous.
 //
-// Routed (sharded-cluster) worlds take a message fan-in/fan-out instead:
-// the shared-counter release wakes tasks on other kernels directly, which
-// is only sound when all kernels share one engine. The message barrier
-// rides the ordinary routed Send/Recv paths, so it is correct — and
-// deterministic — across shard boundaries.
+// Routed (multi-engine cluster) worlds take a message fan-in/fan-out
+// instead: the shared-counter release wakes tasks on other kernels
+// directly, which is only sound when all kernels share one engine. The
+// message barrier rides the ordinary routed Send/Recv paths, so it is
+// correct — and deterministic — across node engines.
 func (r *Rank) Barrier() {
 	if r.world.router != nil {
 		r.clusterBarrier()

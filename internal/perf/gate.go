@@ -133,8 +133,8 @@ func Gate(base, after Report, tol Tolerance) []Regression {
 // gateCounters checks the fresh report's counter invariants: any scenario
 // that reports a windows_elided diagnostic ran the cluster lookahead, and
 // a lookahead that elides zero windows has regressed to floor cadence (the
-// exact counter value is shard-timing noise, so only > 0 is asserted —
-// independent of any baseline).
+// exact counter value moves with any pacing change, so only > 0 is
+// asserted — independent of any baseline).
 func gateCounters(after Report) []Regression {
 	var out []Regression
 	for _, m := range after.Measurements {

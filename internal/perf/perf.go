@@ -32,8 +32,9 @@ type Scenario struct {
 	// and its values are attached to the Measurement verbatim (typically
 	// stashed by the Run closure from its last repetition). Counters are
 	// diagnostics — cluster sync-window counts, elision estimates — whose
-	// values may vary with shard scheduling, so they are deliberately
-	// excluded from the deterministic event count the harness asserts on.
+	// values move with the pacing, not the simulation, so they are
+	// deliberately excluded from the deterministic event count the harness
+	// asserts on.
 	Counters func() map[string]int64
 }
 

@@ -65,7 +65,7 @@ func Suite() []Scenario {
 		},
 		clusterScenario(Scenario{
 			Name:  "cluster-btmz-4node",
-			Desc:  "4-node BT-MZ on the sharded cluster PDES under Uniform (shards = GOMAXPROCS)",
+			Desc:  "4-node BT-MZ on the cluster PDES under Uniform (EOT/EIT lookahead, one goroutine)",
 			Quick: true,
 		}, experiments.Config{
 			Workload: "btmz", Mode: experiments.ModeUniform, Seed: 42,

@@ -43,7 +43,8 @@ func (c *carrier) loop(yield func(bool) bool) {
 }
 
 // freeCarriers is the global free list. Processes driven from parallel
-// goroutines (batch workers, cluster shards) share it, hence the mutex.
+// goroutines (batch pool workers, each running whole replicas) share it,
+// hence the mutex.
 var freeCarriers struct {
 	sync.Mutex
 	idle []*carrier

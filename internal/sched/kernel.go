@@ -414,8 +414,8 @@ func (k *Kernel) RunUntilWatchedExit(horizon sim.Time) sim.Time {
 
 // Settle closes every still-open busy-parked accounting stretch, the step
 // RunUntilWatchedExit performs after its Run returns. Externally-stepped
-// drivers (the sharded cluster runner advances each node's engine in
-// lookahead windows itself) call it once their stepping is finished, before
+// drivers (the cluster runner advances each node's engine in lookahead
+// windows itself) call it once their stepping is finished, before
 // reading metrics or finishing trace recorders.
 func (k *Kernel) Settle() { k.settleBusyStretches() }
 
