@@ -204,6 +204,48 @@ func TestClusterPlacementSpansNodes(t *testing.T) {
 	}
 }
 
+// TestClusterShardEquivalenceRandomized: ScenarioSpec.Shards is deprecated
+// and ignored, so a scenario that still asks for 4 shards (old scenario
+// files, the benchmark harness) must run byte-identically to the same
+// scenario without it, over every workload, topology and two seeds with a
+// stall fault.
+func TestClusterShardEquivalenceRandomized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run sweep")
+	}
+	seeds := []uint64{1, 1043}
+	topologies := []string{"flat", "ring", "star"}
+	for _, workload := range []string{"metbench", "matmul", "siesta", "metbenchvar"} {
+		for _, seed := range seeds {
+			for _, topo := range topologies {
+				name := fmt.Sprintf("%s/%s/seed%d", workload, topo, seed)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					base := clusterCfg(workload, 3, topo, seed)
+					spec := ScenarioSpec{
+						Workload: workload, Mode: base.Mode, Seed: seed,
+						Nodes: 3, Topology: topo, Trace: true,
+						Faults:   faults.MustParse("stall:n=1,dur=100ms,by=1s"),
+						Advanced: &base,
+					}
+					run := func(spec ScenarioSpec) string {
+						cfgs := spec.Configs()
+						if len(cfgs) != 1 {
+							t.Fatalf("spec expanded to %d configs, want 1", len(cfgs))
+						}
+						return clusterRunFingerprint(t, cfgs[0])
+					}
+					unsharded := run(spec)
+					spec.Shards = 4
+					if got := run(spec); got != unsharded {
+						t.Errorf("run with Shards=4 diverges:\n%s", firstDiff(unsharded, got))
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestLookaheadFloorEquivalence is the PDES determinism sweep: the EOT/EIT
 // lookahead only moves sync-window boundaries, so every run must be
 // byte-identical to the same run forced onto the clock+floor cadence
