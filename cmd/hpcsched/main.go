@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -278,13 +279,35 @@ func runTable(cmd string, args []string) {
 	case len(spec.Seeds) > 0:
 		fmt.Print(experiments.TableStatsOf(sr).Format())
 	default:
-		tr := experiments.TableResult{Workload: wl, Rows: sr.Results}
-		fmt.Print(tr.Format())
-		if !fv.Spec.Empty() {
-			// Print the applied fault timeline after the table.
-			fmt.Printf("\nfault timeline (seed %d):\n%s\n", *seed, sr.Results[0].FaultTimeline)
+		if !printTable(os.Stdout, sr) {
+			exit(1)
 		}
 	}
+}
+
+// printTable prints a single-seed table scenario: the finished mode rows
+// in the paper's layout, the applied fault timeline when the spec injects
+// faults, then one line per failed replica. It reports whether every
+// replica finished.
+func printTable(w io.Writer, sr experiments.ScenarioResult) bool {
+	var rows []experiments.Result
+	for i, r := range sr.Results {
+		if sr.OK[i] {
+			rows = append(rows, r)
+		}
+	}
+	fmt.Fprint(w, experiments.TableResult{Workload: sr.Spec.Workload, Rows: rows}.Format())
+	if !sr.Spec.Faults.Empty() && len(rows) > 0 {
+		fmt.Fprintf(w, "\nfault timeline (seed %d):\n%s\n", sr.Spec.Seed, rows[0].FaultTimeline)
+	}
+	if len(sr.Failed) > 0 {
+		fmt.Fprintln(w)
+	}
+	for _, je := range sr.Failed {
+		fmt.Fprintf(w, "replica %d: %s after %d attempt(s): %v\n",
+			je.Index, je.Kind, je.Attempts, je.Err)
+	}
+	return len(sr.Failed) == 0
 }
 
 func runFigure(cmd string, args []string) {

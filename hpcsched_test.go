@@ -1,6 +1,7 @@
 package hpcsched_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -98,22 +99,32 @@ func TestFacadeHeuristicsExported(t *testing.T) {
 }
 
 func TestFacadeReproduceTable(t *testing.T) {
-	tr := hpcsched.ReproduceTable("metbench", 42)
+	sr, err := hpcsched.Run(context.Background(), hpcsched.ScenarioSpec{
+		Workload: "metbench", Seed: 42, Modes: hpcsched.TableModes("metbench"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := hpcsched.TableResult{Workload: "metbench", Rows: sr.Results}
 	if len(tr.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tr.Rows))
 	}
 	if imp := tr.ImprovementOf(hpcsched.ModeUniform); imp < 0.08 {
 		t.Errorf("uniform improvement = %v, want ≥8%%", imp)
 	}
-	if !strings.Contains(tr.Format(), "Uniform") {
+	if !strings.Contains(hpcsched.FormatTable("metbench", sr.Results), "Uniform") {
 		t.Error("Format output malformed")
 	}
 }
 
 func TestFacadeRunExperiment(t *testing.T) {
-	r := hpcsched.RunExperiment(hpcsched.ExperimentConfig{
+	sr, err := hpcsched.Run(context.Background(), hpcsched.ScenarioSpec{
 		Workload: "siesta", Mode: hpcsched.ModeHPCOnly, Seed: 42,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sr.Results[0]
 	if r.ExecTime <= 0 || len(r.Summaries) != 4 {
 		t.Fatalf("experiment malformed: %v, %d summaries", r.ExecTime, len(r.Summaries))
 	}

@@ -393,3 +393,54 @@ func TestStalledPassPanics(t *testing.T) {
 	}()
 	c.Run(0)
 }
+
+// TestCrossNodeMessaging: a 1 MB message between ranks on different nodes
+// is received whole, counts as one remote message and pays the
+// interconnect's transfer time.
+func TestCrossNodeMessaging(t *testing.T) {
+	c, err := New(Config{Nodes: 2, Seed: 1, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	w := c.NewWorld(2, mpi.DefaultOptions())
+	var got int64
+	c.SpawnRank(0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
+		r.Compute(sim.Millisecond)
+		r.Send(1, 7, 1<<20) // 1 MB across the interconnect
+	})
+	c.SpawnRank(1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
+		got = r.Recv(0, 7)
+	})
+	end, err := c.Run(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 1<<20 {
+		t.Fatalf("recv = %d", got)
+	}
+	if w.RemoteMsgCount() != 1 {
+		t.Fatalf("RemoteMsgCount = %d, want 1", w.RemoteMsgCount())
+	}
+	// 1 MB at ~1 GB/s ≈ 1 ms of transfer on top of the compute.
+	if end < 2*sim.Millisecond {
+		t.Fatalf("remote transfer too fast: %v", end)
+	}
+}
+
+// TestSpawnRankValidation: placing a rank on a node the cluster does not
+// have panics.
+func TestSpawnRankValidation(t *testing.T) {
+	c, err := New(Config{Nodes: 2, Seed: 1, MPI: mpi.DefaultOptions(), NewNode: newTestNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	c.NewWorld(1, mpi.DefaultOptions())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("invalid node did not panic")
+		}
+	}()
+	c.SpawnRank(0, 5, sched.TaskSpec{}, func(r *mpi.Rank) {})
+}

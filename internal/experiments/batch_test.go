@@ -7,30 +7,35 @@ import (
 	"testing"
 )
 
+// tableConfigs is the workload's (seed × mode) table grid.
+func tableConfigs(workload string, seeds []uint64) []Config {
+	return ScenarioSpec{Workload: workload, Seeds: seeds, Modes: TableModes(workload)}.Configs()
+}
+
 // TestRunBatchOrderedAndDeterministic checks the headline contract on
 // real simulations: the same configs produce identical, submission-
 // ordered results at any worker count.
 func TestRunBatchOrderedAndDeterministic(t *testing.T) {
-	cfgs := ReplicaConfigs("metbench", DefaultSeeds(2))
+	cfgs := tableConfigs("metbench", DefaultSeeds(2))
 	var want []Result
 	for _, w := range []int{1, 4} {
-		br, err := RunBatch(context.Background(), cfgs, BatchOptions{Workers: w})
+		res, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		for i, r := range br.Results {
+		for i, r := range res {
 			if r.Config.Mode != cfgs[i].Mode || r.Config.Seed != cfgs[i].Seed {
 				t.Fatalf("workers=%d: result %d is for %v/seed %d, want %v/seed %d",
 					w, i, r.Config.Mode, r.Config.Seed, cfgs[i].Mode, cfgs[i].Seed)
 			}
 		}
 		if want == nil {
-			want = br.Results
+			want = res
 			continue
 		}
 		for i := range want {
-			if br.Results[i].ExecTime != want[i].ExecTime ||
-				br.Results[i].Imbalance != want[i].Imbalance {
+			if res[i].ExecTime != want[i].ExecTime ||
+				res[i].Imbalance != want[i].Imbalance {
 				t.Fatalf("workers=%d: result %d differs from serial run", w, i)
 			}
 		}
@@ -38,17 +43,21 @@ func TestRunBatchOrderedAndDeterministic(t *testing.T) {
 }
 
 // TestRunTableStatsWorkerInvariant is the determinism acceptance test:
-// a multi-seed RunTableStats run must produce byte-identical formatted
+// a multi-seed table scenario must produce byte-identical formatted
 // aggregates at 1, 4 and 8 workers.
 func TestRunTableStatsWorkerInvariant(t *testing.T) {
 	seeds := DefaultSeeds(3)
 	var want string
 	var wantStats []ModeStats
 	for _, w := range []int{1, 4, 8} {
-		ts, err := RunTableStatsBatch(context.Background(), "metbench", seeds, BatchOptions{Workers: w})
+		sr, err := RunScenario(context.Background(), ScenarioSpec{
+			Workload: "metbench", Seeds: seeds, Modes: TableModes("metbench"),
+			Exec: ExecOptions{Workers: w},
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		ts := TableStatsOf(sr)
 		out := ts.Format()
 		if want == "" {
 			want, wantStats = out, ts.Stats
@@ -64,14 +73,14 @@ func TestRunTableStatsWorkerInvariant(t *testing.T) {
 }
 
 func TestRunBatchProgressAndCancellation(t *testing.T) {
-	cfgs := ReplicaConfigs("metbench", DefaultSeeds(1))
+	cfgs := tableConfigs("metbench", DefaultSeeds(1))
 	var calls []int
-	br, err := RunBatch(context.Background(), cfgs, BatchOptions{
+	res, _, _, err := RunConfigs(context.Background(), cfgs, ExecOptions{
 		Workers:  2,
 		Progress: func(done, total int) { calls = append(calls, done*100+total) },
 	})
-	if err != nil || len(br.Results) != len(cfgs) {
-		t.Fatalf("batch: %d results, err %v", len(br.Results), err)
+	if err != nil || len(res) != len(cfgs) {
+		t.Fatalf("batch: %d results, err %v", len(res), err)
 	}
 	for i, c := range calls {
 		if c != (i+1)*100+len(cfgs) {
@@ -84,16 +93,24 @@ func TestRunBatchProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBatch(ctx, cfgs, BatchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := RunConfigs(ctx, cfgs, ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled batch err = %v", err)
 	}
-	if ts, err := RunTableStatsBatch(ctx, "metbench", DefaultSeeds(2), BatchOptions{}); err == nil || len(ts.Stats) != 0 {
-		t.Fatalf("cancelled stats returned %v, err %v", ts.Stats, err)
+	sr, err := RunScenario(ctx, ScenarioSpec{
+		Workload: "metbench", Seeds: DefaultSeeds(2), Modes: TableModes("metbench"),
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scenario err = %v", err)
+	}
+	for i, r := range sr.Results {
+		if r.ExecTime != 0 {
+			t.Fatalf("cancelled scenario ran replica %d", i)
+		}
 	}
 }
 
 func TestReplicaConfigsAndSeedsFrom(t *testing.T) {
-	cfgs := ReplicaConfigs("siesta", []uint64{1, 2})
+	cfgs := tableConfigs("siesta", []uint64{1, 2})
 	modes := TableModes("siesta")
 	if len(cfgs) != 2*len(modes) {
 		t.Fatalf("grid size = %d", len(cfgs))

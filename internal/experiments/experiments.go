@@ -428,18 +428,23 @@ func (tr TableResult) ImprovementOf(m Mode) float64 {
 	return 0
 }
 
-// Format renders the table in the paper's layout.
+// Format renders the table in the paper's layout. "vs base" compares each
+// row with the leading Baseline row; a table without one (a hardened run
+// whose baseline replica failed) prints "—" there.
 func (tr TableResult) Format() string {
 	header := []string{"Test", "Proc", "% Comp", "Prio", "Exec. Time", "vs base"}
 	var rows [][]string
-	base := tr.Baseline().ExecTime
+	hasBase := len(tr.Rows) > 0 && tr.Rows[0].Config.Mode == ModeBaseline
 	for _, r := range tr.Rows {
 		for i, s := range r.Summaries {
 			test, exec, imp := "", "", ""
 			if i == 0 {
 				test = r.Config.Mode.String()
 				exec = fmt.Sprintf("%.2fs", r.ExecTime.Seconds())
-				imp = fmt.Sprintf("%+.1f%%", 100*metrics.Improvement(base, r.ExecTime))
+				imp = "—"
+				if hasBase {
+					imp = fmt.Sprintf("%+.1f%%", 100*metrics.Improvement(tr.Rows[0].ExecTime, r.ExecTime))
+				}
 			}
 			prio := fmt.Sprintf("%d", s.HWPrio)
 			if r.Config.Mode.UsesHPCClass() {

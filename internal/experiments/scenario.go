@@ -10,13 +10,12 @@ import (
 	"hpcsched/internal/trace"
 )
 
-// ExecOptions is the one batch-execution options struct: it collapses the
-// former BatchOptions/HardenedBatchOptions split. The zero value means
-// soft execution — default worker count, no progress reporting, no
-// watchdog, no retries — exactly the old RunBatch semantics (a panicking
-// replica crashes the process, determinism is absolute). Setting any of
-// the protection knobs (Timeout, MaxRetries, StallTimeout) switches the
-// pool to hardened execution with per-replica failure verdicts.
+// ExecOptions is the one batch-execution options struct. The zero value
+// means soft execution — default worker count, no progress reporting, no
+// watchdog, no retries: a panicking replica crashes the process and
+// determinism is absolute. Setting any of the protection knobs (Timeout,
+// MaxRetries, StallTimeout) or Harden switches the pool to hardened
+// execution with per-replica failure verdicts.
 type ExecOptions struct {
 	// Workers is the pool size; <= 0 means runtime.NumCPU().
 	Workers int
@@ -49,17 +48,15 @@ func (o ExecOptions) Hardened() bool {
 	return o.Harden || o.Timeout > 0 || o.MaxRetries > 0 || o.StallTimeout > 0
 }
 
-// ScenarioSpec is the unified run request of the redesigned API: one value
-// describing what to simulate (workload, scheduler mode, perturbations),
-// how often (replica seeds) and how to execute it (pool options). Every
-// legacy entry point — single runs, table reproductions, multi-seed
-// statistics, hardened fleets — is a thin expansion of this struct.
+// ScenarioSpec is the unified run request: one value describing what to
+// simulate (workload, scheduler mode, perturbations), how often (replica
+// seeds) and how to execute it (pool options). Single runs, table
+// reproductions, multi-seed statistics and hardened fleets are all
+// expansions of this struct.
 type ScenarioSpec struct {
 	// Name labels the scenario in reports (optional).
 	Name string
-	// Workload is one of workloads.Names(). When empty and Advanced is
-	// set, the Advanced config is used verbatim (replication fields still
-	// apply) — the escape hatch the legacy wrappers ride.
+	// Workload is one of workloads.Names().
 	Workload string
 	// Mode is the scheduler configuration; Modes, when non-empty,
 	// overrides it with several (the grid is seed-major, mode-minor).
@@ -101,17 +98,13 @@ type ScenarioSpec struct {
 
 	// Advanced, when non-nil, is the base Config the expansion starts
 	// from: the escape hatch for knobs the spec does not surface (noise,
-	// HPC params, workload tweaks, preludes). With Workload set, the
-	// spec's own fields overwrite the corresponding Advanced fields; with
-	// Workload empty, Advanced is used verbatim.
+	// HPC params, workload tweaks, preludes). The spec's own fields
+	// overwrite the corresponding Advanced fields.
 	Advanced *Config
 }
 
 // baseConfig resolves the spec into the Config every replica starts from.
 func (s ScenarioSpec) baseConfig() Config {
-	if s.Workload == "" && s.Advanced != nil {
-		return *s.Advanced
-	}
 	var c Config
 	if s.Advanced != nil {
 		c = *s.Advanced
@@ -142,14 +135,10 @@ func (s ScenarioSpec) ReplicaSeeds() []uint64 {
 	if len(s.Seeds) > 0 {
 		return s.Seeds
 	}
-	seed := s.Seed
-	if s.Seed == 0 && s.Advanced != nil {
-		seed = s.Advanced.Seed
-	}
 	if s.Replicas > 1 {
-		return batch.Seeds(seed, s.Replicas)
+		return batch.Seeds(s.Seed, s.Replicas)
 	}
-	return []uint64{seed}
+	return []uint64{s.Seed}
 }
 
 // ModeList returns the spec's scheduler modes in run order.
@@ -157,7 +146,7 @@ func (s ScenarioSpec) ModeList() []Mode {
 	if len(s.Modes) > 0 {
 		return s.Modes
 	}
-	return []Mode{s.baseConfig().Mode}
+	return []Mode{s.Mode}
 }
 
 // Configs expands the spec into the full (seed × mode) replica grid, in
@@ -195,12 +184,11 @@ type ScenarioResult struct {
 }
 
 // RunScenario executes one scenario. Soft execution (the zero ExecOptions)
-// preserves the legacy contract exactly: identical results at any worker
-// count, panics propagate, all-or-nothing. Hardened execution records
-// failures per replica instead.
+// gives identical results at any worker count, panics propagate,
+// all-or-nothing. Hardened execution records failures per replica instead.
 func RunScenario(ctx context.Context, spec ScenarioSpec) (ScenarioResult, error) {
 	sr := ScenarioResult{Spec: spec, Configs: spec.Configs()}
-	res, ok, failed, err := execConfigs(ctx, sr.Configs, spec.Exec)
+	res, ok, failed, err := RunConfigs(ctx, sr.Configs, spec.Exec)
 	sr.Results, sr.OK, sr.Failed = res, ok, failed
 	return sr, err
 }
@@ -221,7 +209,7 @@ func SweepScenarios(ctx context.Context, specs []ScenarioSpec, opts ExecOptions)
 		offsets[i] = len(flat)
 		flat = append(flat, out[i].Configs...)
 	}
-	res, ok, failed, err := execConfigs(ctx, flat, opts)
+	res, ok, failed, err := RunConfigs(ctx, flat, opts)
 	for i := range out {
 		lo, hi := offsets[i], offsets[i]+len(out[i].Configs)
 		out[i].Results = res[lo:hi:hi]
@@ -237,20 +225,18 @@ func SweepScenarios(ctx context.Context, specs []ScenarioSpec, opts ExecOptions)
 	return out, err
 }
 
-// RunConfigs executes an explicit, possibly heterogeneous config list on
-// the unified pool — the escape hatch for callers whose per-replica
-// configs differ beyond what ScenarioSpec expresses (the selector's
-// per-run probes). Results are in submission order; OK and the failure
-// list follow the hardened contract when opts selects it (soft pools
-// return every OK true and no failures).
-func RunConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
-	return execConfigs(ctx, cfgs, opts)
-}
+// retrySalt separates retry attempts' derived seeds from every other seed
+// stream in the repository (replica seeds, fault streams, storm daemons).
+const retrySalt = 0x2e72_0000_0000_0000
 
-// execConfigs is the one execution path every entry point funnels into:
-// soft (batch.Map) when no protection knob is set, hardened
-// (batch.MapHardened) otherwise.
-func execConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
+// RunConfigs is the one execution path: it runs an explicit, possibly
+// heterogeneous config list on the unified pool, and RunScenario and
+// SweepScenarios funnel into it. Results are in submission order. The
+// soft pool (batch.Map) runs when opts selects no protection; it returns
+// every OK true and no failures. Otherwise the hardened pool
+// (batch.MapHardened) recovers panics, retries failed replicas on fresh
+// derived seeds and reports per-replica failures.
+func RunConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
 	if !opts.Hardened() {
 		res, err := batch.Map(ctx,
 			batch.Options{Workers: opts.Workers, Progress: opts.Progress}, cfgs,
@@ -263,13 +249,6 @@ func execConfigs(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result
 		}
 		return res, ok, nil, err
 	}
-	return execHardened(ctx, cfgs, opts)
-}
-
-// execHardened runs cfgs on the hardened pool regardless of whether any
-// protection knob is set (a zero-knob hardened pool still recovers
-// panics — the legacy RunBatchHardened contract).
-func execHardened(ctx context.Context, cfgs []Config, opts ExecOptions) ([]Result, []bool, []*batch.JobError, error) {
 	res, failed, err := batch.MapHardened(ctx,
 		batch.HardenedOptions{
 			Options:    batch.Options{Workers: opts.Workers, Progress: opts.Progress},

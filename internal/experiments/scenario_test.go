@@ -8,8 +8,7 @@ import (
 )
 
 // The spec expansion is the API's load-bearing contract: seed-major,
-// mode-minor, with Seed/Replicas/Seeds precedence and the Advanced escape
-// hatch.
+// mode-minor, with Seed/Replicas/Seeds precedence.
 func TestScenarioSpecExpansion(t *testing.T) {
 	spec := ScenarioSpec{
 		Workload: "metbench",
@@ -40,16 +39,6 @@ func TestScenarioSpecExpansion(t *testing.T) {
 	if got := one.ReplicaSeeds(); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("default seeds = %v", got)
 	}
-
-	// Advanced verbatim: Workload empty → the config passes through, with
-	// replication applied on top.
-	adv := Config{Workload: "siesta", Mode: ModeHybrid, Seed: 11}
-	v := ScenarioSpec{Advanced: &adv, Seeds: []uint64{1, 2}}
-	cfgs = v.Configs()
-	if len(cfgs) != 2 || cfgs[0].Workload != "siesta" || cfgs[0].Mode != ModeHybrid ||
-		cfgs[0].Seed != 1 || cfgs[1].Seed != 2 {
-		t.Fatalf("advanced grid = %+v", cfgs)
-	}
 }
 
 func TestExecOptionsHardenedSelection(t *testing.T) {
@@ -65,14 +54,6 @@ func TestExecOptionsHardenedSelection(t *testing.T) {
 	}
 	if (ExecOptions{Workers: 8}).Hardened() {
 		t.Error("worker count alone selected the hardened pool")
-	}
-	// The deprecated converters preserve their pools: soft stays soft,
-	// hardened stays hardened even with every knob at zero.
-	if (BatchOptions{Workers: 2}).Exec().Hardened() {
-		t.Error("BatchOptions converted to a hardened pool")
-	}
-	if !(HardenedBatchOptions{}).Exec().Hardened() {
-		t.Error("HardenedBatchOptions converted to a soft pool")
 	}
 }
 

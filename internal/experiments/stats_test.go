@@ -2,12 +2,21 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"hpcsched/internal/batch"
 )
 
 func TestRunTableStats(t *testing.T) {
-	ts := RunTableStats("metbench", DefaultSeeds(3))
+	sr, err := RunScenario(context.Background(), ScenarioSpec{
+		Workload: "metbench", Seeds: DefaultSeeds(3), Modes: TableModes("metbench"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := TableStatsOf(sr)
 	if len(ts.Stats) != 4 {
 		t.Fatalf("stats rows = %d", len(ts.Stats))
 	}
@@ -53,8 +62,7 @@ func TestTableStatsOfReplicasSpec(t *testing.T) {
 	if !strings.Contains(ts.Format(), "over 2 seeds") {
 		t.Fatalf("format: %s", ts.Format())
 	}
-	// A never-run result still aggregates to a zero-row table (the legacy
-	// empty-seeds contract).
+	// A never-run result still aggregates to a zero-row table.
 	empty := TableStatsOf(ScenarioResult{Spec: ScenarioSpec{
 		Workload: "metbench", Seed: 42, Modes: TableModes("metbench"),
 	}})
@@ -79,5 +87,21 @@ func TestDefaultSeeds(t *testing.T) {
 			t.Fatal("duplicate seed")
 		}
 		seen[v] = true
+	}
+}
+
+// The degraded table lists each failed replica on its own line after the
+// table, and the output ends with a newline.
+func TestDegradedTableStatsFormatFailures(t *testing.T) {
+	ts := DegradedTableStats{
+		Workload: "metbench", Seeds: []uint64{1, 2},
+		Stats: []DegradedModeStats{{ModeStats: ModeStats{Mode: ModeBaseline, Runs: 1, MeanExecS: 80}, Failed: 1}},
+		Failures: []*batch.JobError{
+			{Index: 2, Attempts: 1, Kind: batch.KindTimeout, Err: errors.New("deadline exceeded")},
+		},
+	}
+	out := ts.Format()
+	if !strings.HasSuffix(out, "\n\nreplica 2: timeout after 1 attempt(s): deadline exceeded\n") {
+		t.Fatalf("failure list malformed:\n%q", out)
 	}
 }

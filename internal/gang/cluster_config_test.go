@@ -3,24 +3,18 @@ package gang
 import (
 	"testing"
 
-	"hpcsched/internal/noise"
 	"hpcsched/internal/power5"
 )
 
 // TestNewClusterConfigTable pins the constructor's configuration surface:
-// zero-value defaults, the per-node Perf hook (including its nil-return
-// fallback to the calibrated model), and an explicit noise config.
+// node-count defaults, and every node is the paper's 2×2 machine on the
+// calibrated perf model.
 func TestNewClusterConfigTable(t *testing.T) {
-	decode := power5.NewDecodeProportionalPerfModel()
-	quiet := noise.DefaultConfig()
-	quiet.DaemonsPerCPU = 1
-
 	for _, tc := range []struct {
 		name      string
 		cfg       Config
 		wantNodes int
 		wantCPUs  int
-		wantPerf  func(node int) power5.PerfModel // nil entry → calibrated
 	}{
 		{
 			name:      "zero value defaults to a 2x2 cluster",
@@ -30,58 +24,25 @@ func TestNewClusterConfigTable(t *testing.T) {
 		},
 		{
 			name:      "non-positive sizes fall back to defaults",
-			cfg:       Config{Nodes: -3, CoresPerNode: -1, Seed: 1},
-			wantNodes: 2,
-			wantCPUs:  8,
-		},
-		{
-			name:      "single wide node",
-			cfg:       Config{Nodes: 1, CoresPerNode: 4, Seed: 1},
-			wantNodes: 1,
-			wantCPUs:  8,
-		},
-		{
-			name: "per-node perf hook, nil return means calibrated",
-			cfg: Config{Nodes: 2, Seed: 1, Perf: func(node int) power5.PerfModel {
-				if node == 1 {
-					return decode
-				}
-				return nil
-			}},
-			wantNodes: 2,
-			wantCPUs:  8,
-			wantPerf: func(node int) power5.PerfModel {
-				if node == 1 {
-					return decode
-				}
-				return nil
-			},
-		},
-		{
-			name:      "explicit noise config",
-			cfg:       Config{Nodes: 2, Seed: 1, Noise: &quiet},
+			cfg:       Config{Nodes: -3, Seed: 1},
 			wantNodes: 2,
 			wantCPUs:  8,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCluster(tc.cfg)
-			if len(c.Nodes) != tc.wantNodes || c.TotalCPUs() != tc.wantCPUs {
-				t.Fatalf("cluster shape = %d nodes / %d cpus, want %d / %d",
-					len(c.Nodes), c.TotalCPUs(), tc.wantNodes, tc.wantCPUs)
+			c := newCluster(tc.cfg)
+			defer c.Shutdown()
+			cpus := 0
+			for _, k := range c.Kernels {
+				cpus += k.NumCPUs()
 			}
-			for i, n := range c.Nodes {
-				want := power5.PerfModel(nil)
-				if tc.wantPerf != nil {
-					want = tc.wantPerf(i)
-				}
-				got := n.Chip.PerfModel()
-				if want != nil {
-					if got != want {
-						t.Fatalf("node %d perf model not the hook's return", i)
-					}
-				} else if _, ok := got.(*power5.CalibratedPerfModel); !ok {
-					t.Fatalf("node %d perf model %T, want calibrated fallback", i, got)
+			if len(c.Kernels) != tc.wantNodes || cpus != tc.wantCPUs {
+				t.Fatalf("cluster shape = %d nodes / %d cpus, want %d / %d",
+					len(c.Kernels), cpus, tc.wantNodes, tc.wantCPUs)
+			}
+			for i, k := range c.Kernels {
+				if _, ok := k.Chip.PerfModel().(*power5.CalibratedPerfModel); !ok {
+					t.Fatalf("node %d perf model %T, want calibrated", i, k.Chip.PerfModel())
 				}
 			}
 		})

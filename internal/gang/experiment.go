@@ -55,15 +55,17 @@ type ExperimentResult struct {
 // RunExperiment builds a fresh cluster from cfg, places job's ranks with
 // the placer and runs the job to completion.
 func RunExperiment(clusterCfg Config, job JobConfig, placer Placer) ExperimentResult {
-	c := NewCluster(clusterCfg)
-	capacity := c.Nodes[0].CPUs()
+	c := newCluster(clusterCfg)
+	defer c.Shutdown()
+	nodes := len(c.Kernels)
+	capacity := c.Kernels[0].NumCPUs()
 	weights := make([]float64, len(job.Weights))
 	for i, w := range job.Weights {
 		weights[i] = w.Seconds()
 	}
-	assign := placer.Assign(weights, len(c.Nodes), capacity)
+	assign := placer.Assign(weights, nodes, capacity)
 
-	w := c.NewWorld(len(job.Weights), mpi.DefaultOptions())
+	c.NewWorld(len(job.Weights), mpi.DefaultOptions())
 	policy := sched.PolicyNormal
 	if job.UseHPC {
 		policy = sched.PolicyHPC
@@ -76,7 +78,7 @@ func RunExperiment(clusterCfg Config, job JobConfig, placer Placer) ExperimentRe
 	for i := range job.Weights {
 		i := i
 		work := job.Weights[i]
-		t := c.SpawnRank(w, i, assign[i], sched.TaskSpec{Policy: policy},
+		t := c.SpawnRank(i, assign[i], sched.TaskSpec{Policy: policy},
 			func(r *mpi.Rank) {
 				for it := 0; it < job.Iterations; it++ {
 					r.Compute(work)
@@ -95,12 +97,16 @@ func RunExperiment(clusterCfg Config, job JobConfig, placer Placer) ExperimentRe
 			})
 		tasks = append(tasks, t)
 	}
-	end := c.Run(3600 * sim.Second)
+	end, err := c.Run(3600 * sim.Second)
+	if err != nil {
+		panic(err) // unreachable: default latencies, no interrupt hook
+	}
+	c.Settle()
 	return ExperimentResult{
 		Placer:    placer.Name(),
 		Assign:    assign,
 		ExecTime:  end,
-		MaxLoad:   MaxNodeLoad(weights, assign, len(c.Nodes)),
+		MaxLoad:   MaxNodeLoad(weights, assign, nodes),
 		Summaries: metrics.Summarize(tasks, end),
 	}
 }

@@ -6,17 +6,19 @@
 // the local scheduler is able to dynamically assign more or less hardware
 // resource to each task."
 //
-// A Cluster is a set of simulated nodes — each a POWER5 chip with its own
-// kernel, optional HPC class and OS noise — sharing one discrete-event
-// engine so a single virtual clock spans the machine. Placers assign MPI
-// ranks to nodes from their expected load weights; within each node the
-// per-node HPCSched instance does the fine-grained balancing.
+// Each node is the paper's machine — a POWER5 chip with its own kernel,
+// optional HPC class and OS noise — simulated by internal/cluster, which
+// gives every node its own engine and couples them by the interconnect's
+// latency. Placers assign MPI ranks to nodes from their expected load
+// weights; within each node the per-node HPCSched instance does the
+// fine-grained balancing.
 package gang
 
 import (
 	"fmt"
 	"sort"
 
+	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
 	"hpcsched/internal/mpi"
 	"hpcsched/internal/noise"
@@ -29,125 +31,36 @@ import (
 type Config struct {
 	// Nodes is the number of nodes (default 2).
 	Nodes int
-	// CoresPerNode is the number of dual-context cores per node
-	// (default 2: each node is the paper's machine).
-	CoresPerNode int
 	// Seed drives all randomness.
 	Seed uint64
 	// HPC, when non-nil, installs an HPC class on every node.
 	HPC *core.Config
-	// Noise configures per-node background daemons (nil → default).
-	Noise *noise.Config
-	// KernelOpts configures every node's kernel.
-	KernelOpts sched.Options
-	// Perf builds a performance model per node (nil → calibrated).
-	Perf func(node int) power5.PerfModel
 }
 
-// Node is one machine of the cluster.
-type Node struct {
-	ID     int
-	Chip   *power5.Chip
-	Kernel *sched.Kernel
-	HPC    *core.HPCClass
-}
-
-// CPUs returns the number of OS CPUs on the node.
-func (n *Node) CPUs() int { return n.Chip.NumCPUs() }
-
-// Cluster is a set of nodes on one virtual clock.
-type Cluster struct {
-	Engine *sim.Engine
-	Nodes  []*Node
-
-	watchLeft int
-}
-
-// NewCluster builds the cluster.
-func NewCluster(cfg Config) *Cluster {
+// newCluster builds cfg's nodes on internal/cluster. Every node is the
+// paper's machine: 2 cores × 2 SMT contexts on the calibrated POWER5
+// model, default kernel options and default OS noise.
+func newCluster(cfg Config) *cluster.Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
-	if cfg.CoresPerNode <= 0 {
-		cfg.CoresPerNode = 2
-	}
-	engine := sim.NewEngine(cfg.Seed)
-	c := &Cluster{Engine: engine}
-	for i := 0; i < cfg.Nodes; i++ {
-		var pm power5.PerfModel
-		if cfg.Perf != nil {
-			pm = cfg.Perf(i)
-		}
-		if pm == nil {
-			pm = power5.NewCalibratedPerfModel()
-		}
-		chip := power5.NewChip(cfg.CoresPerNode, pm)
-		kernel := sched.NewKernel(engine, chip, cfg.KernelOpts)
-		n := &Node{ID: i, Chip: chip, Kernel: kernel}
-		if cfg.HPC != nil {
-			n.HPC = core.MustInstall(kernel, *cfg.HPC)
-		}
-		nz := noise.DefaultConfig()
-		if cfg.Noise != nil {
-			nz = *cfg.Noise
-		}
-		noise.Install(kernel, nz)
-		c.Nodes = append(c.Nodes, n)
+	c, err := cluster.New(cluster.Config{
+		Nodes: cfg.Nodes,
+		Seed:  cfg.Seed,
+		MPI:   mpi.DefaultOptions(),
+		NewNode: func(_ int, eng *sim.Engine) *sched.Kernel {
+			k := sched.NewKernel(eng, power5.NewChip(2, power5.NewCalibratedPerfModel()), sched.Options{})
+			if cfg.HPC != nil {
+				core.MustInstall(k, *cfg.HPC)
+			}
+			noise.Install(k, noise.DefaultConfig())
+			return k
+		},
+	})
+	if err != nil {
+		panic(err) // unreachable: NewNode is set and the topology is flat
 	}
 	return c
-}
-
-// TotalCPUs returns the number of CPUs across the cluster.
-func (c *Cluster) TotalCPUs() int {
-	n := 0
-	for _, node := range c.Nodes {
-		n += node.CPUs()
-	}
-	return n
-}
-
-// NewWorld creates an MPI world spanning the cluster. Spawn ranks with
-// SpawnRank so completion tracking and node accounting work.
-func (c *Cluster) NewWorld(size int, opts mpi.Options) *mpi.World {
-	return mpi.NewWorld(c.Nodes[0].Kernel, size, opts)
-}
-
-// SpawnRank places rank i of w on the given node. The policy should be
-// PolicyHPC when the cluster has HPC classes installed.
-func (c *Cluster) SpawnRank(w *mpi.World, i, node int, spec sched.TaskSpec,
-	body func(*mpi.Rank)) *sched.Task {
-	if node < 0 || node >= len(c.Nodes) {
-		panic(fmt.Sprintf("gang: node %d out of range", node))
-	}
-	n := c.Nodes[node]
-	task := w.SpawnAt(i, n.Kernel, node, spec, body)
-	c.watchLeft++
-	prev := n.Kernel.OnTaskExit
-	n.Kernel.OnTaskExit = func(t *sched.Task) {
-		if prev != nil {
-			prev(t)
-		}
-		if t == task {
-			c.watchLeft--
-			if c.watchLeft == 0 {
-				c.Engine.Stop()
-			}
-		}
-	}
-	return task
-}
-
-// Run drives the cluster until every spawned rank exits or the horizon
-// passes, then reaps all nodes' background processes.
-func (c *Cluster) Run(horizon sim.Time) sim.Time {
-	if c.watchLeft > 0 {
-		c.Engine.Run(horizon)
-	}
-	end := c.Engine.Now()
-	for _, n := range c.Nodes {
-		n.Kernel.Shutdown()
-	}
-	return end
 }
 
 // ---------------------------------------------------------------------------

@@ -3,69 +3,70 @@ package gang
 import (
 	"testing"
 
+	"hpcsched/internal/core"
 	"hpcsched/internal/mpi"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 )
 
 func TestClusterConstruction(t *testing.T) {
-	c := NewCluster(Config{Nodes: 3, CoresPerNode: 2, Seed: 1})
-	if len(c.Nodes) != 3 || c.TotalCPUs() != 12 {
-		t.Fatalf("cluster shape wrong: %d nodes, %d cpus", len(c.Nodes), c.TotalCPUs())
+	c := newCluster(Config{Nodes: 3, Seed: 1})
+	defer c.Shutdown()
+	cpus := 0
+	for _, k := range c.Kernels {
+		cpus += k.NumCPUs()
 	}
-	for i, n := range c.Nodes {
-		if n.ID != i || n.Kernel == nil || n.Chip == nil {
+	if len(c.Kernels) != 3 || cpus != 12 {
+		t.Fatalf("cluster shape wrong: %d nodes, %d cpus", len(c.Kernels), cpus)
+	}
+	for i, k := range c.Kernels {
+		if k == nil || k.Chip == nil {
 			t.Fatalf("node %d malformed", i)
 		}
-		if n.Kernel.Engine != c.Engine {
-			t.Fatal("nodes must share one engine")
+		if k.Engine != c.Engines[i] {
+			t.Fatalf("node %d kernel does not run on its own engine", i)
+		}
+		for j := 0; j < i; j++ {
+			if c.Engines[j] == k.Engine {
+				t.Fatalf("nodes %d and %d share an engine", j, i)
+			}
 		}
 	}
 }
 
 func TestClusterHPCInstalled(t *testing.T) {
-	c := NewCluster(Config{Nodes: 2, Seed: 1, HPC: HPCConfigForCluster()})
-	for _, n := range c.Nodes {
-		if n.HPC == nil {
-			t.Fatal("HPC class missing on node")
+	hasHPC := func(k *sched.Kernel) bool {
+		for _, cl := range k.Classes() {
+			if _, ok := cl.(*core.HPCClass); ok {
+				return true
+			}
+		}
+		return false
+	}
+	c := newCluster(Config{Nodes: 2, Seed: 1, HPC: HPCConfigForCluster()})
+	defer c.Shutdown()
+	for i, k := range c.Kernels {
+		if !hasHPC(k) {
+			t.Fatalf("HPC class missing on node %d", i)
+		}
+	}
+	plain := newCluster(Config{Nodes: 2, Seed: 1})
+	defer plain.Shutdown()
+	for i, k := range plain.Kernels {
+		if hasHPC(k) {
+			t.Fatalf("HPC class installed on node %d without Config.HPC", i)
 		}
 	}
 }
 
-func TestCrossNodeMessaging(t *testing.T) {
-	c := NewCluster(Config{Nodes: 2, Seed: 1})
-	w := c.NewWorld(2, mpi.DefaultOptions())
-	var got int64
-	c.SpawnRank(w, 0, 0, sched.TaskSpec{}, func(r *mpi.Rank) {
-		r.Compute(sim.Millisecond)
-		r.Send(1, 7, 1<<20) // 1 MB across the interconnect
-	})
-	c.SpawnRank(w, 1, 1, sched.TaskSpec{}, func(r *mpi.Rank) {
-		got = r.Recv(0, 7)
-	})
-	end := c.Run(sim.Second)
-	if got != 1<<20 {
-		t.Fatalf("recv = %d", got)
-	}
-	if w.RemoteMsgCount() != 1 {
-		t.Fatalf("RemoteMsgCount = %d, want 1", w.RemoteMsgCount())
-	}
-	// 1 MB at ~1 GB/s ≈ 1 ms of transfer on top of the compute.
-	if end < 2*sim.Millisecond {
-		t.Fatalf("remote transfer too fast: %v", end)
-	}
-	if c.Nodes[0].Kernel == c.Nodes[1].Kernel {
-		t.Fatal("ranks must be on distinct kernels")
-	}
-}
-
 func TestCrossNodeBarrier(t *testing.T) {
-	c := NewCluster(Config{Nodes: 2, Seed: 1})
-	w := c.NewWorld(4, mpi.DefaultOptions())
+	c := newCluster(Config{Nodes: 2, Seed: 1})
+	defer c.Shutdown()
+	c.NewWorld(4, mpi.DefaultOptions())
 	counts := make([]int, 4)
 	for i := 0; i < 4; i++ {
 		i := i
-		c.SpawnRank(w, i, i%2, sched.TaskSpec{}, func(r *mpi.Rank) {
+		c.SpawnRank(i, i%2, sched.TaskSpec{}, func(r *mpi.Rank) {
 			for it := 0; it < 5; it++ {
 				r.Compute(sim.Time(i+1) * sim.Millisecond)
 				r.Barrier()
@@ -73,7 +74,10 @@ func TestCrossNodeBarrier(t *testing.T) {
 			}
 		})
 	}
-	end := c.Run(10 * sim.Second)
+	end, err := c.Run(10 * sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if end >= 10*sim.Second {
 		t.Fatal("cross-node barrier deadlocked")
 	}
@@ -182,15 +186,4 @@ func TestClusterDeterminism(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("cluster runs nondeterministic: %v vs %v", a, b)
 	}
-}
-
-func TestSpawnRankValidation(t *testing.T) {
-	c := NewCluster(Config{Nodes: 2, Seed: 1})
-	w := c.NewWorld(1, mpi.DefaultOptions())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid node did not panic")
-		}
-	}()
-	c.SpawnRank(w, 0, 5, sched.TaskSpec{}, func(r *mpi.Rank) {})
 }

@@ -35,8 +35,7 @@ const AnyTag = -1
 
 // Options models the transport. The defaults approximate shared-memory
 // intra-node MPI: microsecond-scale latency, GB/s-scale bandwidth. Ranks
-// placed on different nodes (the gang-scheduling extension) pay the
-// Remote* figures instead.
+// placed on different cluster nodes pay the Remote* figures instead.
 type Options struct {
 	// Latency is the fixed per-message delay from send to delivery.
 	Latency sim.Time
@@ -155,17 +154,14 @@ type routeReq struct {
 }
 
 // World is one MPI job: a set of ranks over one kernel (the common case),
-// spread over the kernels of a simulated cluster sharing one engine
-// (internal/gang), or spread over per-node engines coupled by a Router
-// (internal/cluster).
+// or spread over per-node engines coupled by a Router (internal/cluster).
 type World struct {
 	defaultKernel *sched.Kernel
 	opts          Options
 	ranks         []*Rank
 
-	// nodes holds the per-node transport state; single-node (and
-	// single-engine gang) worlds have exactly one entry. AttachNode
-	// registers additional engines.
+	// nodes holds the per-node transport state; single-node worlds have
+	// exactly one entry. AttachNode registers additional engines.
 	nodes  []*nodeState
 	router Router
 
@@ -220,9 +216,8 @@ func (w *World) AttachNode(node int, k *sched.Kernel) *World {
 	return w
 }
 
-// SetRouter installs the cross-node transport. Worlds whose nodes share one
-// engine (single-node runs, internal/gang) leave it nil and deliver
-// remote-latency messages on that engine directly.
+// SetRouter installs the cross-node transport that carries messages
+// between attached nodes' engines. Single-node worlds leave it nil.
 func (w *World) SetRouter(rt Router) { w.router = rt }
 
 // Nodes returns the number of attached nodes.
@@ -443,20 +438,20 @@ func (w *World) Spawn(i int, spec sched.TaskSpec, body func(*Rank)) *sched.Task 
 
 // SpawnAt launches rank i on the given kernel (a cluster node). The task
 // is NOT auto-watched: cluster runners track completion across kernels
-// themselves. When node is an attached node (AttachNode), k must run that
-// node's engine and the rank binds to its transport state; otherwise —
-// gang-style placement, where node numbers only select remote pricing — k
-// must share node 0's engine.
+// themselves. node must be 0 (the world's creating kernel) or attached
+// (AttachNode), and k must run that node's engine; the rank binds to the
+// node's transport state.
 func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
 	body func(*Rank)) *sched.Task {
 	r := w.ranks[i]
 	if r.task != nil {
 		panic(fmt.Sprintf("mpi: rank %d spawned twice", i))
 	}
-	ns := w.nodes[0]
-	if node >= 0 && node < len(w.nodes) {
-		ns = w.nodes[node]
+	if node < 0 || node >= len(w.nodes) {
+		panic(fmt.Sprintf("mpi: SpawnAt on node %d, which is not attached (world has %d nodes)",
+			node, len(w.nodes)))
 	}
+	ns := w.nodes[node]
 	if k.Engine != ns.engine {
 		panic(fmt.Sprintf("mpi: SpawnAt kernel does not run node %d's engine", node))
 	}
@@ -469,7 +464,6 @@ func (w *World) SpawnAt(i int, k *sched.Kernel, node int, spec sched.TaskSpec,
 	// afterwards would price those messages as node-local and thread them
 	// through node 0's delivery pool from another node's engine.
 	r.kernel = k
-	r.node = node
 	r.ns = ns
 	task := k.AddProcess(spec, func(env *sched.Env) {
 		r.env = env
@@ -487,7 +481,6 @@ type Rank struct {
 	env    *sched.Env
 	task   *sched.Task
 	kernel *sched.Kernel
-	node   int
 	ns     *nodeState // transport state of the node this rank runs on
 
 	// inbox is a ring of undelivered messages in arrival order.
@@ -520,10 +513,6 @@ type Rank struct {
 
 	seq collSeq // per-collective invocation counters
 }
-
-// Node returns the cluster node the rank was placed on (0 for single-node
-// worlds).
-func (r *Rank) Node() int { return r.node }
 
 // ID returns the rank number (0-based).
 func (r *Rank) ID() int { return r.id }
@@ -574,7 +563,8 @@ func (r *Rank) Send(dst, tag int, size int64) {
 	ns.msgBytes += size
 	target := w.ranks[dst]
 	delay := w.opts.Latency + sim.Time(float64(size)*w.opts.ByteCost)
-	if target.node != r.node {
+	remote := target.ns != ns
+	if remote {
 		ns.remoteMsgCount++
 		delay = w.opts.RemoteLatency + sim.Time(float64(size)*w.opts.RemoteByteCost)
 	}
@@ -582,7 +572,7 @@ func (r *Rank) Send(dst, tag int, size int64) {
 	if w.pairExtra != nil {
 		delay += w.pairExtra[r.id*len(w.ranks)+dst]
 	}
-	if target.ns != ns {
+	if remote {
 		// Cross-node: defer a zero-delay route step so the arrival is
 		// stamped at the exact instant the overhead charge completes, then
 		// let the router carry it to the target's engine.
@@ -835,8 +825,8 @@ func (r *Rank) waitallCheckFn() (done bool, reply any) {
 // each rank one rendezvous.
 //
 // Routed (multi-engine cluster) worlds take a message fan-in/fan-out
-// instead: the shared-counter release wakes tasks on other kernels
-// directly, which is only sound when all kernels share one engine. The
+// instead: the shared-counter release wakes the waiting tasks directly,
+// which is only sound when they all run on one engine. The
 // message barrier rides the ordinary routed Send/Recv paths, so it is
 // correct — and deterministic — across node engines.
 func (r *Rank) Barrier() {

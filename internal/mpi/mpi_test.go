@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hpcsched/internal/power5"
@@ -254,6 +256,23 @@ func TestSpawnTwicePanics(t *testing.T) {
 		}
 	}()
 	w.Spawn(0, sched.TaskSpec{}, func(r *Rank) {})
+}
+
+// TestSpawnAtUnattachedNodePanics: a rank can only be placed on node 0 or
+// on a node attached with AttachNode; any other node number panics with a
+// message naming the node.
+func TestSpawnAtUnattachedNodePanics(t *testing.T) {
+	k, w := newWorld(t, 2)
+	defer func() {
+		v := recover()
+		if v == nil {
+			t.Fatal("SpawnAt on an unattached node did not panic")
+		}
+		if msg := fmt.Sprint(v); !strings.Contains(msg, "node 1") || !strings.Contains(msg, "not attached") {
+			t.Fatalf("panic message %q does not name the unattached node", msg)
+		}
+	}()
+	w.SpawnAt(0, k, 1, sched.TaskSpec{}, func(r *Rank) {})
 }
 
 func TestWorldSizeValidation(t *testing.T) {

@@ -236,13 +236,15 @@ func runIdleImbalance() uint64 {
 }
 
 func runBatchMetBench() uint64 {
-	cfgs := experiments.ReplicaConfigs("metbench", experiments.SeedsFrom(42, 8))
-	br, err := experiments.RunBatch(context.Background(), cfgs, experiments.BatchOptions{})
+	sr, err := experiments.RunScenario(context.Background(), experiments.ScenarioSpec{
+		Workload: "metbench", Seeds: experiments.SeedsFrom(42, 8),
+		Modes: experiments.TableModes("metbench"),
+	})
 	if err != nil {
 		panic(err)
 	}
 	var events uint64
-	for _, r := range br.Results {
+	for _, r := range sr.Results {
 		events += runEvents(r)
 	}
 	return events
