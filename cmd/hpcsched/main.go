@@ -286,8 +286,8 @@ func runTable(cmd string, args []string) {
 }
 
 // printTable prints a single-seed table scenario: the finished mode rows
-// in the paper's layout, the applied fault timeline when the spec injects
-// faults, then one line per failed replica. It reports whether every
+// in the paper's layout, the first finished row's applied fault timeline
+// when the spec injects faults, then one line per failed replica. It reports whether every
 // replica finished.
 func printTable(w io.Writer, sr experiments.ScenarioResult) bool {
 	var rows []experiments.Result
@@ -298,7 +298,10 @@ func printTable(w io.Writer, sr experiments.ScenarioResult) bool {
 	}
 	fmt.Fprint(w, experiments.TableResult{Workload: sr.Spec.Workload, Rows: rows}.Format())
 	if !sr.Spec.Faults.Empty() && len(rows) > 0 {
-		fmt.Fprintf(w, "\nfault timeline (seed %d):\n%s\n", sr.Spec.Seed, rows[0].FaultTimeline)
+		// The first finished row's timeline: a retried replica ran on a
+		// fresh seed, so label it with that row's own mode and seed.
+		fmt.Fprintf(w, "\nfault timeline (%s, seed %d):\n%s\n",
+			rows[0].Config.Mode, rows[0].Config.Seed, rows[0].FaultTimeline)
 	}
 	if len(sr.Failed) > 0 {
 		fmt.Fprintln(w)

@@ -8,6 +8,7 @@ import (
 
 	"hpcsched/internal/batch"
 	"hpcsched/internal/experiments"
+	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
 	"hpcsched/internal/sim"
 )
@@ -92,6 +93,18 @@ func TestPrintTableFailedBaseline(t *testing.T) {
 	if !strings.HasSuffix(out, "\n") {
 		t.Error("output does not end with a newline")
 	}
+
+	// With faults injected, the timeline printed is the first finished
+	// row's, labelled with that row's mode and its (retried) seed.
+	sr.Spec.Faults = faults.Spec{Slowdowns: []faults.SlowdownSpec{{}}}
+	sr.Results[2].Config.Seed = 777
+	sr.Results[2].FaultTimeline = "t=1.000s slow"
+	b.Reset()
+	printTable(&b, sr)
+	if want := "fault timeline (Uniform, seed 777):\nt=1.000s slow\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, b.String())
+	}
+	sr.Spec.Faults = faults.Spec{}
 
 	// With every replica finished the table is the plain paper layout.
 	sr.Results[0] = row(experiments.ModeBaseline, 80*sim.Second)

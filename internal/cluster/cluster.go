@@ -709,6 +709,14 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 		horizon = 3600 * sim.Second
 	}
 	c.horizon = horizon
+	for i := range c.Engines {
+		if c.watched[i] == nil && !c.done[i] {
+			// No rank was placed here: nothing can ever stop this node's
+			// background daemons, and nothing can message it. It ends at 0
+			// rather than running its noise to the horizon.
+			c.finish(i, false)
+		}
+	}
 	for c.live > 0 && c.abortErr == nil {
 		progress := false
 		for i := range c.Engines {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hpcsched/internal/mpi"
+	"hpcsched/internal/noise"
 	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
@@ -425,6 +426,46 @@ func TestCrossNodeMessaging(t *testing.T) {
 	// 1 MB at ~1 GB/s ≈ 1 ms of transfer on top of the compute.
 	if end < 2*sim.Millisecond {
 		t.Fatalf("remote transfer too fast: %v", end)
+	}
+}
+
+// TestEmptyNodeEndsAtZero: a node no rank was placed on finishes at 0. Its
+// noise daemons never stop on their own, so if it were stepped it would
+// run them to the horizon and report the horizon as the cluster's end.
+func TestEmptyNodeEndsAtZero(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 3, Seed: 3, MPI: mpi.DefaultOptions(),
+		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
+			k := newTestNode(node, eng)
+			noise.Install(k, noise.DefaultConfig())
+			return k
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	c.NewWorld(2, mpi.DefaultOptions())
+	for i, node := range []int{0, 2} {
+		i := i
+		c.SpawnRank(i, node, sched.TaskSpec{}, func(r *mpi.Rank) {
+			r.Compute(5 * sim.Millisecond)
+			if i == 0 {
+				r.Send(1, 0, 64)
+			} else {
+				r.Recv(0, 0)
+			}
+		})
+	}
+	end, err := c.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end > sim.Second {
+		t.Fatalf("cluster end = %v, want the ranks' ~5 ms, not the horizon", end)
+	}
+	if got := c.NodeEnd(1); got != 0 || c.Capped(1) {
+		t.Fatalf("empty node: end = %v, capped = %v; want 0, false", got, c.Capped(1))
 	}
 }
 

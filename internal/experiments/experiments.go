@@ -413,28 +413,37 @@ func RunTable(workload string, seed uint64) TableResult {
 	return TableResult{Workload: workload, Rows: sr.Results}
 }
 
-// Baseline returns the table's baseline row.
-func (tr TableResult) Baseline() Result { return tr.Rows[0] }
+// Baseline returns the table's baseline row: the leading row, when its
+// mode is Baseline. A table without one (a hardened run whose baseline
+// replica failed) reports false.
+func (tr TableResult) Baseline() (Result, bool) {
+	if len(tr.Rows) == 0 || tr.Rows[0].Config.Mode != ModeBaseline {
+		return Result{}, false
+	}
+	return tr.Rows[0], true
+}
 
 // ImprovementOf returns the exec-time improvement of the given row over
-// the baseline.
+// the baseline, or 0 when the table has no baseline row or no row m.
 func (tr TableResult) ImprovementOf(m Mode) float64 {
-	base := tr.Baseline().ExecTime
+	base, ok := tr.Baseline()
+	if !ok {
+		return 0
+	}
 	for _, r := range tr.Rows {
 		if r.Config.Mode == m {
-			return metrics.Improvement(base, r.ExecTime)
+			return metrics.Improvement(base.ExecTime, r.ExecTime)
 		}
 	}
 	return 0
 }
 
 // Format renders the table in the paper's layout. "vs base" compares each
-// row with the leading Baseline row; a table without one (a hardened run
-// whose baseline replica failed) prints "—" there.
+// row with the baseline row; a table without one prints "—" there.
 func (tr TableResult) Format() string {
 	header := []string{"Test", "Proc", "% Comp", "Prio", "Exec. Time", "vs base"}
 	var rows [][]string
-	hasBase := len(tr.Rows) > 0 && tr.Rows[0].Config.Mode == ModeBaseline
+	base, hasBase := tr.Baseline()
 	for _, r := range tr.Rows {
 		for i, s := range r.Summaries {
 			test, exec, imp := "", "", ""
@@ -443,7 +452,7 @@ func (tr TableResult) Format() string {
 				exec = fmt.Sprintf("%.2fs", r.ExecTime.Seconds())
 				imp = "—"
 				if hasBase {
-					imp = fmt.Sprintf("%+.1f%%", 100*metrics.Improvement(tr.Rows[0].ExecTime, r.ExecTime))
+					imp = fmt.Sprintf("%+.1f%%", 100*metrics.Improvement(base.ExecTime, r.ExecTime))
 				}
 			}
 			prio := fmt.Sprintf("%d", s.HWPrio)

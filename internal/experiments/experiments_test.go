@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"hpcsched/internal/metrics"
 	"hpcsched/internal/noise"
+	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
 )
 
@@ -18,12 +20,48 @@ func within(t *testing.T, name string, v, lo, hi float64) {
 
 func pct(tr TableResult, m Mode) float64 { return 100 * tr.ImprovementOf(m) }
 
+func mustBaseline(t *testing.T, tr TableResult) Result {
+	t.Helper()
+	base, ok := tr.Baseline()
+	if !ok {
+		t.Fatalf("%s table has no leading Baseline row", tr.Workload)
+	}
+	return base
+}
+
+// TestTableWithoutBaseline: when the leading row is not Baseline (its
+// replica failed), the table reports no baseline, no improvement and a
+// "—" in the "vs base" column instead of comparing against another mode.
+func TestTableWithoutBaseline(t *testing.T) {
+	tr := TableResult{Workload: "metbench", Rows: []Result{
+		{Config: Config{Mode: ModeUniform}, ExecTime: 80 * sim.Second},
+		{Config: Config{Mode: ModeAdaptive}, ExecTime: 72 * sim.Second},
+	}}
+	if _, ok := tr.Baseline(); ok {
+		t.Fatal("Baseline reported a row for a table led by Uniform")
+	}
+	if imp := tr.ImprovementOf(ModeAdaptive); imp != 0 {
+		t.Fatalf("ImprovementOf(Adaptive) = %v without a baseline, want 0", imp)
+	}
+	for i := range tr.Rows {
+		tr.Rows[i].Summaries = []metrics.TaskSummary{{Name: "P1"}}
+	}
+	out := tr.Format()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "Uniform") || strings.Contains(line, "Adaptive") {
+			if !strings.HasSuffix(strings.TrimSpace(line), "—") {
+				t.Fatalf("vs base must read \"—\" without a baseline:\n%s", out)
+			}
+		}
+	}
+}
+
 // TestTableIII reproduces the MetBench table: baseline ≈ 81.78 s with the
 // small-load workers at ≈25% comp; static and the dynamic heuristics
 // recover ≈12-14%, with the large-load workers at priority 6.
 func TestTableIII(t *testing.T) {
 	tr := RunTable("metbench", 42)
-	base := tr.Baseline()
+	base := mustBaseline(t, tr)
 	within(t, "baseline exec (s)", base.ExecTime.Seconds(), 78, 87)
 	within(t, "baseline P1 comp%", base.Summaries[0].CompPct, 22, 28)
 	within(t, "baseline P2 comp%", base.Summaries[1].CompPct, 97, 100)
@@ -49,7 +87,7 @@ func TestTableIII(t *testing.T) {
 // beat it overall.
 func TestTableIV(t *testing.T) {
 	tr := RunTable("metbenchvar", 42)
-	base := tr.Baseline()
+	base := mustBaseline(t, tr)
 	within(t, "baseline exec (s)", base.ExecTime.Seconds(), 350, 390)
 	within(t, "baseline P1 comp%", base.Summaries[0].CompPct, 46, 54)
 	within(t, "baseline P2 comp%", base.Summaries[1].CompPct, 71, 79)
@@ -70,7 +108,7 @@ func TestTableIV(t *testing.T) {
 // double-digit improvement.
 func TestTableV(t *testing.T) {
 	tr := RunTable("btmz", 42)
-	base := tr.Baseline()
+	base := mustBaseline(t, tr)
 	within(t, "baseline exec (s)", base.ExecTime.Seconds(), 90, 101)
 	within(t, "baseline P1 comp%", base.Summaries[0].CompPct, 14, 21)
 	within(t, "baseline P2 comp%", base.Summaries[1].CompPct, 25, 36)
@@ -104,7 +142,7 @@ func TestTableV(t *testing.T) {
 // move (they rise only because the runtime shrinks).
 func TestTableVI(t *testing.T) {
 	tr := RunTable("siesta", 42)
-	base := tr.Baseline()
+	base := mustBaseline(t, tr)
 	within(t, "baseline exec (s)", base.ExecTime.Seconds(), 78, 90)
 	within(t, "baseline P1 comp%", base.Summaries[0].CompPct, 96, 100)
 	within(t, "baseline P2 comp%", base.Summaries[1].CompPct, 46, 58)

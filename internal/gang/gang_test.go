@@ -187,3 +187,26 @@ func TestClusterDeterminism(t *testing.T) {
 		t.Fatalf("cluster runs nondeterministic: %v vs %v", a, b)
 	}
 }
+
+// TestEmptyNodeDoesNotStretchRun: block placement of the 8-rank job on 3
+// nodes leaves node 2 empty. The run must end when the last rank exits,
+// at the time the ranks alone take, not at the simulation horizon.
+func TestEmptyNodeDoesNotStretchRun(t *testing.T) {
+	job := DefaultJob()
+	job.Iterations = 4
+	res := RunExperiment(Config{Nodes: 3, Seed: 42, HPC: HPCConfigForCluster()}, job, BlockPlacer{})
+	for _, n := range res.Assign {
+		if n == 2 {
+			t.Fatalf("block placement used node 2 (%v); the test needs it empty", res.Assign)
+		}
+	}
+	// Block placement on 3 nodes uses the same two nodes as on 2, so the
+	// run takes what it does there: ≈4.75 s.
+	want := RunExperiment(Config{Nodes: 2, Seed: 42, HPC: HPCConfigForCluster()}, job, BlockPlacer{}).ExecTime
+	if d := res.ExecTime.Seconds()/want.Seconds() - 1; d > 0.01 || d < -0.01 {
+		t.Fatalf("3-node block ExecTime = %v, 2-node = %v; want within 1%%", res.ExecTime, want)
+	}
+	if res.ExecTime > 10*sim.Second {
+		t.Fatalf("ExecTime = %v: the empty node ran to the horizon", res.ExecTime)
+	}
+}
