@@ -77,25 +77,42 @@ func clusterRunFingerprint(t *testing.T, cfg Config) string {
 	return b.String()
 }
 
-// TestClusterGoldenTimeline pins the headline determinism claim: the
-// 4-node BT-MZ cluster timeline matches the committed golden byte-for-byte.
-// Regenerate with UPDATE_GOLDEN=1.
+// TestClusterGoldenTimeline pins the headline determinism claim: every
+// workload's cluster timeline matches its committed golden byte-for-byte.
+// BT-MZ runs on 4 flat nodes under faults; the other workloads run Static
+// (tiled hand-tuned priorities) on 3 ring nodes, MetBench with jitter on so
+// the per-rank streams show. Regenerate with UPDATE_GOLDEN=1.
 func TestClusterGoldenTimeline(t *testing.T) {
-	cfg := clusterCfg("btmz", 4, "flat", 42)
-	cfg.Faults = faults.MustParse("slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s")
-	got := clusterRunFingerprint(t, cfg)
-	path := filepath.Join("testdata", "golden_cluster_btmz.txt")
-	if update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
+	btmz := clusterCfg("btmz", 4, "flat", 42)
+	btmz.Faults = faults.MustParse("slow:n=2,factor=0.5,dur=500ms,by=2s;mpidelay:n=1,extra=200us,dur=1s,by=3s")
+	cases := []Config{btmz}
+	for _, wl := range []string{"metbench", "metbenchvar", "siesta", "matmul"} {
+		cfg := clusterCfg(wl, 3, "ring", 42)
+		cfg.Mode = ModeStatic
+		shrink := cfg.TweakMetBench
+		cfg.TweakMetBench = func(c *workloads.MetBenchConfig) {
+			shrink(c)
+			c.JitterFrac = 0.1
 		}
+		cases = append(cases, cfg)
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("cluster timeline differs from golden:\n%s", firstDiff(string(want), got))
+	for _, cfg := range cases {
+		t.Run(cfg.Workload, func(t *testing.T) {
+			got := clusterRunFingerprint(t, cfg)
+			path := filepath.Join("testdata", "golden_cluster_"+cfg.Workload+".txt")
+			if update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("cluster timeline differs from golden:\n%s", firstDiff(string(want), got))
+			}
+		})
 	}
 }
 
