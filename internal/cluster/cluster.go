@@ -50,6 +50,7 @@ import (
 	"hpcsched/internal/mpi"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
+	"hpcsched/internal/workloads"
 )
 
 // nodeEngineSalt separates the per-node engine RNG streams from every other
@@ -337,6 +338,39 @@ func (c *Cluster) stopIfDone(node int) {
 	if c.pending[node] == 0 && c.World.NodePendingSends(node) == 0 {
 		c.Engines[node].Stop()
 	}
+}
+
+// clusterRankSalt separates the per-rank workload RNG streams.
+const clusterRankSalt = 0x2a8c_0000_0000_0000
+
+func rankRNG(seed uint64, rank int) *sim.RNG {
+	return sim.NewRNG(batch.DeriveSeed(seed, clusterRankSalt+uint64(rank)))
+}
+
+// Placement returns the cluster as a workloads.Placement, so the workload
+// builders scale their jobs across its nodes. Ranks spawn through
+// SpawnRank, and every rank draws jitter from its own stream derived from
+// the run seed: the draw order is a function of the rank alone, so the
+// workload is identical wherever the lookahead windows fall and however
+// the node engines' steps interleave.
+func (c *Cluster) Placement() workloads.Placement { return placement{c} }
+
+type placement struct{ c *Cluster }
+
+func (p placement) Nodes() int { return len(p.c.Kernels) }
+
+func (p placement) NewWorld(size int) *mpi.World { return p.c.NewWorld(size, p.c.cfg.MPI) }
+
+func (p placement) Spawn(i, node int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
+	return p.c.SpawnRank(i, node, spec, body)
+}
+
+func (p placement) Streams(n int, _ bool) []*sim.RNG {
+	rngs := make([]*sim.RNG, n)
+	for i := range rngs {
+		rngs[i] = rankRNG(p.c.cfg.Seed, i)
+	}
+	return rngs
 }
 
 // RankNode returns the node rank i was placed on.

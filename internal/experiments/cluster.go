@@ -12,12 +12,9 @@ import (
 	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
 	"hpcsched/internal/mpi"
-	"hpcsched/internal/noise"
-	"hpcsched/internal/power5"
 	"hpcsched/internal/sched"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
-	"hpcsched/internal/workloads"
 )
 
 // clusterFaultSalt separates the per-node fault-compile seed streams: every
@@ -54,10 +51,10 @@ type ClusterInfo struct {
 	WindowsElided int64
 }
 
-// runClusterCtx is RunCtx for Config.Nodes > 1: the same machine, scheduler,
-// noise, trace and fault assembly as the single-node path, replicated once
-// per node, with the workload scaled across the cluster and the node engines
-// advanced by the conservative PDES of internal/cluster. Determinism carries
+// runClusterCtx is RunCtx for Config.Nodes > 1: the same machine (newNode)
+// and job (buildJob) as the single-node path, the machine replicated once per
+// node and the job scaled across the cluster, with per-node fault schedules,
+// and the node engines advanced by the conservative PDES of internal/cluster. Determinism carries
 // over: the result is byte-identical under either pacing (Config.FloorPacing).
 func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 	topology := cfg.Topology
@@ -75,51 +72,9 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 		FloorPacing: cfg.FloorPacing,
 		MPI:         mpi.DefaultOptions(),
 		NewNode: func(node int, eng *sim.Engine) *sched.Kernel {
-			// Each node is a full copy of the paper's machine, with its own
-			// perf model unless Config.PerfModel overrides it for all.
-			pm := cfg.PerfModel
-			if pm == nil {
-				pm = power5.NewCalibratedPerfModel()
-			}
-			chip := power5.NewChip(2, pm)
-			k := sched.NewKernel(eng, chip, cfg.KernelOpts)
-			if cfg.Mode.UsesHPCClass() {
-				params := cfg.Params
-				if params == (core.Params{}) {
-					params = core.DefaultParams()
-				}
-				var h core.Heuristic
-				var mech core.Mechanism = core.POWER5Mechanism{}
-				switch cfg.Mode {
-				case ModeUniform:
-					h = core.UniformHeuristic{}
-				case ModeAdaptive:
-					h = core.AdaptiveHeuristic{}
-				case ModeHybrid:
-					h = core.HybridHeuristic{}
-				case ModeHPCOnly:
-					h = core.FixedHeuristic{}
-					mech = core.NullMechanism{}
-				}
-				hpcs[node] = core.MustInstall(k, core.Config{
-					Heuristic:  h,
-					Mechanism:  mech,
-					Discipline: cfg.Discipline,
-					Params:     params,
-				})
-			}
-			if cfg.Trace {
-				rec := trace.NewRecorder()
-				rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
-				k.SetTracer(rec)
-				recs[node] = rec
-			}
-			nz := noise.DefaultConfig()
-			if cfg.Noise != nil {
-				nz = *cfg.Noise
-			}
-			noise.Install(k, nz)
-			return k
+			n := newNode(cfg, eng, nil)
+			hpcs[node], recs[node] = n.hpc, n.rec
+			return n.kernel
 		},
 		OnNodeStop: func(node int) error {
 			if wd := wds[node]; wd != nil && wd.cause != nil {
@@ -138,54 +93,7 @@ func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}()
 
-	policy := sched.PolicyNormal
-	if cfg.Mode.UsesHPCClass() {
-		policy = sched.PolicyHPC
-	}
-	var prios []power5.Priority
-	if cfg.Mode == ModeStatic {
-		prios = staticPrios(cfg.Workload)
-	}
-	params := cluster.JobParams{Policy: policy, StaticPrios: prios, Seed: cfg.Seed}
-
-	// The workload tweak hooks apply before scaling, exactly like the
-	// single-node path; policy and priorities ride JobParams instead of the
-	// workload config (the cluster builders tile priorities per node).
-	var job *workloads.Job
-	switch cfg.Workload {
-	case "metbench":
-		wc := workloads.DefaultMetBench()
-		if cfg.TweakMetBench != nil {
-			cfg.TweakMetBench(&wc)
-		}
-		job = cluster.BuildMetBench(cl, wc, params)
-	case "metbenchvar":
-		wc := workloads.DefaultMetBenchVar()
-		if cfg.TweakMetBenchVar != nil {
-			cfg.TweakMetBenchVar(&wc)
-		}
-		job = cluster.BuildMetBenchVar(cl, wc, params)
-	case "btmz":
-		wc := workloads.DefaultBTMZ()
-		if cfg.TweakBTMZ != nil {
-			cfg.TweakBTMZ(&wc)
-		}
-		job = cluster.BuildBTMZ(cl, wc, params)
-	case "siesta":
-		wc := workloads.DefaultSiesta()
-		if cfg.TweakSiesta != nil {
-			cfg.TweakSiesta(&wc)
-		}
-		job = cluster.BuildSiesta(cl, wc, params)
-	case "matmul":
-		wc := workloads.DefaultMatMulDAG()
-		if cfg.TweakMatMulDAG != nil {
-			cfg.TweakMatMulDAG(&wc)
-		}
-		job = cluster.BuildMatMulDAG(cl, wc, params)
-	default:
-		panic(fmt.Sprintf("experiments: unknown workload %q", cfg.Workload))
-	}
+	job := buildJob(cfg, cl.Placement())
 
 	if cfg.Prelude != nil {
 		cfg.Prelude(cl.Kernels[0])
@@ -339,8 +247,8 @@ func ClusterTimeline(res Result) string {
 		fmt.Fprintf(&b, "n%d end=%v msgs=%d bytes=%d remote=%d%s\n",
 			i, ci.NodeEnds[i], count, bytes, remote, capped)
 	}
-	// Every cluster builder spawns rank i as job.Tasks[i], so the summary
-	// index is the rank.
+	// Every builder spawns rank i as job.Tasks[i], so the summary index is
+	// the rank.
 	for i, s := range res.Summaries {
 		fmt.Fprintf(&b, "%s n%d comp=%.2f prio=%d exec=%v sleep=%v wait=%v wakeups=%d\n",
 			s.Name, ci.RankNodes[i], s.CompPct, s.HWPrio,

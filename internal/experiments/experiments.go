@@ -6,6 +6,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"hpcsched/internal/core"
@@ -57,6 +59,26 @@ func (m Mode) String() string {
 		return "HPC-policy-only"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
+	}
+}
+
+// ParseMode maps a command-line mode name (case-insensitive) to its Mode.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "baseline", "cfs":
+		return ModeBaseline, nil
+	case "static":
+		return ModeStatic, nil
+	case "uniform":
+		return ModeUniform, nil
+	case "adaptive":
+		return ModeAdaptive, nil
+	case "hybrid":
+		return ModeHybrid, nil
+	case "policy-only", "hpconly":
+		return ModeHPCOnly, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
 	}
 }
 
@@ -168,30 +190,14 @@ type Result struct {
 	Cluster *ClusterInfo
 }
 
-// staticPrios returns the paper's hand-tuned priorities per workload.
-func staticPrios(workload string) []power5.Priority {
-	switch workload {
-	case "metbench", "metbenchvar":
-		return workloads.MetBenchStaticPrios()
-	case "btmz":
-		return workloads.BTMZStaticPrios()
-	case "matmul":
-		return workloads.MatMulDAGStaticPrios()
-	default:
-		// The paper reports no static configuration for SIESTA
-		// (its behaviour defeats hand tuning); run with defaults.
-		return nil
-	}
-}
-
 // Run executes one experiment. It is RunCtx without cancellation or
 // watchdog: with a background context and no StallTimeout the run cannot
-// abort, so no error leg exists.
+// abort, so the only error left — an unknown workload — panics.
 func Run(cfg Config) Result {
 	cfg.StallTimeout = 0
 	res, err := RunCtx(context.Background(), cfg)
 	if err != nil {
-		panic(err) // unreachable: no cancel source and no watchdog
+		panic(err)
 	}
 	return res
 }
@@ -205,121 +211,23 @@ func Run(cfg Config) Result {
 // leaked process goroutines). A panic out of the model layers shuts the
 // kernel down and re-panics, so batch-level recovery sees a clean process.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
+	if !slices.Contains(workloads.Names(), cfg.Workload) {
+		return Result{Config: cfg}, fmt.Errorf("experiments: unknown workload %q (one of %s)",
+			cfg.Workload, strings.Join(workloads.Names(), ", "))
+	}
 	if cfg.Nodes > 1 {
 		return runClusterCtx(ctx, cfg)
 	}
 	engine := sim.NewEngine(cfg.Seed)
-	pm := cfg.PerfModel
-	if pm == nil {
-		pm = power5.NewCalibratedPerfModel()
-	}
-	chip := power5.NewChip(2, pm)
-	kernel := sched.NewKernel(engine, chip, cfg.KernelOpts)
+	n := newNode(cfg, engine, cfg.TraceSink)
+	kernel, rec := n.kernel, n.rec
 	defer func() {
 		if v := recover(); v != nil {
 			kernel.Shutdown()
 			panic(v)
 		}
 	}()
-
-	var hpc *core.HPCClass
-	if cfg.Mode.UsesHPCClass() {
-		params := cfg.Params
-		if params == (core.Params{}) {
-			params = core.DefaultParams()
-		}
-		var h core.Heuristic
-		var mech core.Mechanism = core.POWER5Mechanism{}
-		switch cfg.Mode {
-		case ModeUniform:
-			h = core.UniformHeuristic{}
-		case ModeAdaptive:
-			h = core.AdaptiveHeuristic{}
-		case ModeHybrid:
-			h = core.HybridHeuristic{}
-		case ModeHPCOnly:
-			h = core.FixedHeuristic{}
-			mech = core.NullMechanism{}
-		}
-		hpc = core.MustInstall(kernel, core.Config{
-			Heuristic:  h,
-			Mechanism:  mech,
-			Discipline: cfg.Discipline,
-			Params:     params,
-		})
-	}
-
-	var rec *trace.Recorder
-	if cfg.Trace {
-		if cfg.TraceSink != nil {
-			rec = trace.NewRecorderWithSink(cfg.TraceSink)
-		} else {
-			rec = trace.NewRecorder()
-		}
-		rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
-		kernel.SetTracer(rec)
-	}
-
-	nz := noise.DefaultConfig()
-	if cfg.Noise != nil {
-		nz = *cfg.Noise
-	}
-	noise.Install(kernel, nz)
-
-	policy := sched.PolicyNormal
-	if cfg.Mode.UsesHPCClass() {
-		policy = sched.PolicyHPC
-	}
-	var prios []power5.Priority
-	if cfg.Mode == ModeStatic {
-		prios = staticPrios(cfg.Workload)
-	}
-
-	var job *workloads.Job
-	switch cfg.Workload {
-	case "metbench":
-		wc := workloads.DefaultMetBench()
-		wc.Policy = policy
-		wc.StaticPrios = prios
-		if cfg.TweakMetBench != nil {
-			cfg.TweakMetBench(&wc)
-		}
-		job = workloads.BuildMetBench(kernel, wc)
-	case "metbenchvar":
-		wc := workloads.DefaultMetBenchVar()
-		wc.Policy = policy
-		wc.StaticPrios = prios
-		if cfg.TweakMetBenchVar != nil {
-			cfg.TweakMetBenchVar(&wc)
-		}
-		job = workloads.BuildMetBenchVar(kernel, wc)
-	case "btmz":
-		wc := workloads.DefaultBTMZ()
-		wc.Policy = policy
-		wc.StaticPrios = prios
-		if cfg.TweakBTMZ != nil {
-			cfg.TweakBTMZ(&wc)
-		}
-		job = workloads.BuildBTMZ(kernel, wc)
-	case "siesta":
-		wc := workloads.DefaultSiesta()
-		wc.Policy = policy
-		wc.StaticPrios = prios
-		if cfg.TweakSiesta != nil {
-			cfg.TweakSiesta(&wc)
-		}
-		job = workloads.BuildSiesta(kernel, wc)
-	case "matmul":
-		wc := workloads.DefaultMatMulDAG()
-		wc.Policy = policy
-		wc.StaticPrios = prios
-		if cfg.TweakMatMulDAG != nil {
-			cfg.TweakMatMulDAG(&wc)
-		}
-		job = workloads.BuildMatMulDAG(kernel, wc)
-	default:
-		panic(fmt.Sprintf("experiments: unknown workload %q", cfg.Workload))
-	}
+	job := buildJob(cfg, workloads.OnKernel(kernel))
 
 	if cfg.Prelude != nil {
 		cfg.Prelude(kernel)
@@ -358,7 +266,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	res := Result{
 		Config:   cfg,
 		ExecTime: end,
-		HPC:      hpc,
+		HPC:      n.hpc,
 		World:    job.World,
 		Tasks:    job.Tasks,
 		Kernel:   kernel,
@@ -382,6 +290,127 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	res.Recorder = rec
 	kernel.Shutdown()
 	return res, nil
+}
+
+// node is one assembled machine of a run.
+type node struct {
+	kernel *sched.Kernel
+	hpc    *core.HPCClass  // nil unless the mode uses the class
+	rec    *trace.Recorder // nil unless cfg.Trace
+}
+
+// newNode assembles one copy of the paper's machine on eng: the 2-core
+// POWER5 chip, the kernel, the mode's HPC class, the trace recorder
+// (streaming through sink when non-nil) and the OS noise daemons. Every
+// single-node and cluster machine is built here.
+func newNode(cfg Config, eng *sim.Engine, sink trace.Sink) node {
+	pm := cfg.PerfModel
+	if pm == nil {
+		pm = power5.NewCalibratedPerfModel()
+	}
+	n := node{kernel: sched.NewKernel(eng, power5.NewChip(2, pm), cfg.KernelOpts)}
+	if cfg.Mode.UsesHPCClass() {
+		params := cfg.Params
+		if params == (core.Params{}) {
+			params = core.DefaultParams()
+		}
+		var h core.Heuristic
+		var mech core.Mechanism = core.POWER5Mechanism{}
+		switch cfg.Mode {
+		case ModeUniform:
+			h = core.UniformHeuristic{}
+		case ModeAdaptive:
+			h = core.AdaptiveHeuristic{}
+		case ModeHybrid:
+			h = core.HybridHeuristic{}
+		case ModeHPCOnly:
+			h = core.FixedHeuristic{}
+			mech = core.NullMechanism{}
+		}
+		n.hpc = core.MustInstall(n.kernel, core.Config{
+			Heuristic:  h,
+			Mechanism:  mech,
+			Discipline: cfg.Discipline,
+			Params:     params,
+		})
+	}
+	if cfg.Trace {
+		if sink != nil {
+			n.rec = trace.NewRecorderWithSink(sink)
+		} else {
+			n.rec = trace.NewRecorder()
+		}
+		n.rec.Filter = func(t *sched.Task) bool { return t.Name[0] == 'P' }
+		n.kernel.SetTracer(n.rec)
+	}
+	nz := noise.DefaultConfig()
+	if cfg.Noise != nil {
+		nz = *cfg.Noise
+	}
+	noise.Install(n.kernel, nz)
+	return n
+}
+
+// buildJob builds cfg's workload through p: the default calibration with
+// the mode's policy and, under ModeStatic, the paper's hand-tuned
+// priorities, then the config's tweak hook. RunCtx has already rejected
+// unknown workload names.
+func buildJob(cfg Config, p workloads.Placement) *workloads.Job {
+	policy := sched.PolicyNormal
+	if cfg.Mode.UsesHPCClass() {
+		policy = sched.PolicyHPC
+	}
+	static := cfg.Mode == ModeStatic
+	switch cfg.Workload {
+	case "metbench":
+		wc := workloads.DefaultMetBench()
+		wc.Policy = policy
+		if static {
+			wc.StaticPrios = workloads.MetBenchStaticPrios()
+		}
+		tweak(cfg.TweakMetBench, &wc)
+		return workloads.BuildMetBench(p, wc)
+	case "metbenchvar":
+		wc := workloads.DefaultMetBenchVar()
+		wc.Policy = policy
+		if static {
+			wc.StaticPrios = workloads.MetBenchStaticPrios()
+		}
+		tweak(cfg.TweakMetBenchVar, &wc)
+		return workloads.BuildMetBenchVar(p, wc)
+	case "btmz":
+		wc := workloads.DefaultBTMZ()
+		wc.Policy = policy
+		if static {
+			wc.StaticPrios = workloads.BTMZStaticPrios()
+		}
+		tweak(cfg.TweakBTMZ, &wc)
+		return workloads.BuildBTMZ(p, wc)
+	case "siesta":
+		// The paper reports no static configuration for SIESTA (its
+		// behaviour defeats hand tuning); Static runs with defaults.
+		wc := workloads.DefaultSiesta()
+		wc.Policy = policy
+		tweak(cfg.TweakSiesta, &wc)
+		return workloads.BuildSiesta(p, wc)
+	case "matmul":
+		wc := workloads.DefaultMatMulDAG()
+		wc.Policy = policy
+		if static {
+			wc.StaticPrios = workloads.MatMulDAGStaticPrios()
+		}
+		tweak(cfg.TweakMatMulDAG, &wc)
+		return workloads.BuildMatMulDAG(p, wc)
+	default:
+		panic(fmt.Sprintf("experiments: unknown workload %q", cfg.Workload))
+	}
+}
+
+// tweak applies an optional workload tweak hook.
+func tweak[C any](hook func(*C), c *C) {
+	if hook != nil {
+		hook(c)
+	}
 }
 
 // TableModes returns the mode rows the paper reports for a workload.

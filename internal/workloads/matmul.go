@@ -22,7 +22,7 @@ type MatMulDAGConfig struct {
 	// PanelWork is the owner's per-step panel factorisation cost.
 	PanelWork sim.Time
 	// UpdateWork is each rank's per-step trailing-update cost; its length
-	// sets the rank count. Uneven entries are the workload's built-in
+	// sets the rank count per machine. Uneven entries are the workload's built-in
 	// imbalance (block-cyclic distributions give border ranks less work).
 	UpdateWork []sim.Time
 	// PanelBytes is the broadcast panel size.
@@ -30,7 +30,7 @@ type MatMulDAGConfig struct {
 	// JitterFrac perturbs every compute burst (per-rank RNG streams).
 	JitterFrac  float64
 	Policy      sched.Policy
-	StaticPrios []power5.Priority
+	StaticPrios []power5.Priority // per rank, repeating; nil for default
 }
 
 // DefaultMatMulDAG returns the default calibration: 4 ranks, 60 panels,
@@ -61,23 +61,25 @@ func MatMulDAGStaticPrios() []power5.Priority {
 // BuildMatMulDAG constructs the job. Each rank pre-posts the receive for
 // the next panel it does not own before applying the current trailing
 // update, so communication for step k+1 overlaps computation of step k —
-// one panel of lookahead, exactly the dependency slack of the DAG.
-func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
-	n := len(cfg.UpdateWork)
-	if n < 2 {
+// one panel of lookahead, exactly the dependency slack of the DAG. Ranks
+// are placed ROUND-ROBIN over the nodes: panel ownership rotates rank by
+// rank, so consecutive owners — the migrating critical path — sit on
+// different nodes and every panel broadcast crosses the interconnect.
+func BuildMatMulDAG(p Placement, cfg MatMulDAGConfig) *Job {
+	perNode := len(cfg.UpdateWork)
+	if perNode < 2 {
 		panic("workloads: MatMulDAG needs at least 2 ranks")
 	}
 	if cfg.Panels <= 0 {
 		panic("workloads: MatMulDAG needs panels")
 	}
-	w := mpi.NewWorld(k, n, mpi.DefaultOptions())
+	nodes := p.Nodes()
+	n := perNode * nodes
+	w := p.NewWorld(n)
 	job := &Job{Name: "matmul", World: w}
 	owner := func(step int) int { return step % n }
 	// Per-rank RNGs so jitter streams are independent of scheduling.
-	rngs := make([]*sim.RNG, n)
-	for i := range rngs {
-		rngs[i] = k.Engine.RNG().Split()
-	}
+	rngs := p.Streams(n, false)
 	jitter := func(rng *sim.RNG, d sim.Time) sim.Time {
 		if cfg.JitterFrac > 0 {
 			return rng.Jitter(d, cfg.JitterFrac)
@@ -85,8 +87,8 @@ func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
 		return d
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		update := cfg.UpdateWork[i%perNode]
+		t := p.Spawn(i, i%nodes, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			next := make([]mpi.Request, 0, 1)
 			post := func(step int) {
@@ -99,16 +101,16 @@ func BuildMatMulDAG(k *sched.Kernel, cfg MatMulDAGConfig) *Job {
 			for step := 0; step < cfg.Panels; step++ {
 				if owner(step) == i {
 					r.Compute(jitter(rngs[i], cfg.PanelWork))
-					for p := 0; p < n; p++ {
-						if p != i {
-							r.Isend(p, step, cfg.PanelBytes)
+					for q := 0; q < n; q++ {
+						if q != i {
+							r.Isend(q, step, cfg.PanelBytes)
 						}
 					}
 				} else {
 					r.Waitall(next) // the panel dependency gate
 				}
 				post(step + 1)
-				r.Compute(jitter(rngs[i], cfg.UpdateWork[i]))
+				r.Compute(jitter(rngs[i], update))
 			}
 		})
 		job.Tasks = append(job.Tasks, t)

@@ -14,29 +14,74 @@ import (
 	"hpcsched/internal/sim"
 )
 
-// Job is a constructed workload: the MPI world plus its rank tasks.
+// Job is a constructed workload: the MPI world plus its rank tasks, in rank
+// order.
 type Job struct {
 	Name  string
 	World *mpi.World
 	Tasks []*sched.Task
 }
 
-// spawn launches rank i with policy and an optional fixed hardware
-// priority (the hand-tuned static configuration of the paper's [5]).
-func spawn(w *mpi.World, i int, policy sched.Policy, prio power5.Priority,
-	body func(*mpi.Rank)) *sched.Task {
-	spec := sched.TaskSpec{Policy: policy}
-	if prio != 0 {
-		spec.HWPrio = prio
-	}
-	return w.Spawn(i, spec, body)
+// Placement is where a job's ranks run: one kernel (OnKernel) or the nodes
+// of a cluster (cluster.Cluster.Placement). Every builder multiplies its
+// per-machine rank count by Nodes and places each rank through Spawn, so a
+// workload body is written once for single-node and cluster runs.
+type Placement interface {
+	// Nodes is the number of machines the job spans.
+	Nodes() int
+	// NewWorld creates the job's MPI world of size ranks.
+	NewWorld(size int) *mpi.World
+	// Spawn launches rank i of the world on the given node.
+	Spawn(i, node int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task
+	// Streams returns the jitter RNG of ranks 0..n-1. Builders call it
+	// after NewWorld and before the first Spawn. shared asks for one
+	// stream drawn by every rank; a placement may still give each rank
+	// its own.
+	Streams(n int, shared bool) []*sim.RNG
 }
 
-func prioOf(prios []power5.Priority, i int) power5.Priority {
-	if prios == nil {
-		return 0
+// OnKernel places a whole job on one kernel. Ranks spawn through
+// World.Spawn, so the kernel watches them, and Streams splits the kernel's
+// engine RNG once when shared and once per rank otherwise.
+func OnKernel(k *sched.Kernel) Placement { return &onKernel{k: k} }
+
+type onKernel struct {
+	k *sched.Kernel
+	w *mpi.World
+}
+
+func (p *onKernel) Nodes() int { return 1 }
+
+func (p *onKernel) NewWorld(size int) *mpi.World {
+	p.w = mpi.NewWorld(p.k, size, mpi.DefaultOptions())
+	return p.w
+}
+
+func (p *onKernel) Spawn(i, _ int, spec sched.TaskSpec, body func(*mpi.Rank)) *sched.Task {
+	return p.w.Spawn(i, spec, body)
+}
+
+func (p *onKernel) Streams(n int, shared bool) []*sim.RNG {
+	rngs := make([]*sim.RNG, n)
+	for i := range rngs {
+		if shared && i > 0 {
+			rngs[i] = rngs[0]
+		} else {
+			rngs[i] = p.k.Engine.RNG().Split()
+		}
 	}
-	return prios[i]
+	return rngs
+}
+
+// rankSpec is rank i's task spec: the job's policy plus, when the config
+// carries a hand-tuned assignment, its priority. The assignment repeats
+// every len(prios) ranks, so one machine's pattern tiles across nodes.
+func rankSpec(policy sched.Policy, prios []power5.Priority, i int) sched.TaskSpec {
+	spec := sched.TaskSpec{Policy: policy}
+	if len(prios) > 0 {
+		spec.HWPrio = prios[i%len(prios)]
+	}
+	return spec
 }
 
 // ---------------------------------------------------------------------------
@@ -50,13 +95,13 @@ func prioOf(prios []power5.Priority, i int) power5.Priority {
 // machine).
 type MetBenchConfig struct {
 	Iterations int
-	// Workers is the worker count (default 4 — the paper's machine; use
-	// more on larger chips).
+	// Workers is the worker count per machine (default 4 — the paper's
+	// machine; use more on larger chips).
 	Workers     int
 	SmallWork   sim.Time
 	LargeWork   sim.Time
 	Policy      sched.Policy
-	StaticPrios []power5.Priority // per rank, nil for default
+	StaticPrios []power5.Priority // per worker, repeating; nil for default
 	JitterFrac  float64           // per-iteration work jitter (default 0)
 }
 
@@ -77,34 +122,37 @@ func MetBenchStaticPrios() []power5.Priority {
 		power5.PrioMedium, power5.PrioHigh}
 }
 
-// BuildMetBench constructs the job on the given kernel. As in the real
-// framework, a master process (rank 4, shown as "M") keeps the workers in
-// strict synchronisation: each iteration every worker reports completion
-// and waits for the master's go-ahead. The master is what gives even the
+// BuildMetBench constructs the job. As in the real framework, a master
+// process (the last rank, shown as "M") keeps the workers in strict
+// synchronisation: each iteration every worker reports completion and
+// waits for the master's go-ahead. The master is what gives even the
 // slowest worker a wait phase each iteration — the iteration boundary the
-// Load Imbalance Detector feeds on.
-func BuildMetBench(k *sched.Kernel, cfg MetBenchConfig) *Job {
+// Load Imbalance Detector feeds on. Each node runs cfg.Workers workers
+// (block placement); the master runs on node 0, so on a cluster the
+// iteration barrier spans the interconnect.
+func BuildMetBench(p Placement, cfg MetBenchConfig) *Job {
 	if cfg.Iterations <= 0 {
 		panic("workloads: MetBench needs iterations")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 4
+	perNode := cfg.Workers
+	if perNode == 0 {
+		perNode = 4
 	}
-	if workers < 2 {
+	if perNode < 2 {
 		panic("workloads: MetBench needs at least 2 workers")
 	}
-	w := mpi.NewWorld(k, workers+1, mpi.DefaultOptions())
+	workers := perNode * p.Nodes()
+	w := p.NewWorld(workers + 1)
 	job := &Job{Name: "metbench", World: w}
-	rng := k.Engine.RNG().Split()
+	rngs := p.Streams(workers, true)
 	master := workers
 	for i := 0; i < workers; i++ {
-		i := i
 		work := cfg.SmallWork
 		if i%2 == 1 {
 			work = cfg.LargeWork
 		}
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		rng := rngs[i]
+		t := p.Spawn(i, i/perNode, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			// Initialization: configuration exchange with the master.
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
@@ -119,22 +167,27 @@ func BuildMetBench(k *sched.Kernel, cfg MetBenchConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	mt := w.Spawn(master, sched.TaskSpec{Name: "M", Policy: cfg.Policy},
-		func(r *mpi.Rank) {
-			for p := 0; p < workers; p++ {
-				r.Send(p, 0, 1024)
-			}
-			for it := 0; it < cfg.Iterations; it++ {
-				for p := 0; p < workers; p++ {
-					r.Recv(p, 1+it)
-				}
-				for p := 0; p < workers; p++ {
-					r.Send(p, 1+it, 64)
-				}
-			}
-		})
-	job.Tasks = append(job.Tasks, mt)
+	job.Tasks = append(job.Tasks, spawnMaster(p, master, workers, cfg.Iterations, cfg.Policy))
 	return job
+}
+
+// spawnMaster places the MetBench master on node 0: it hands every worker
+// its configuration, then each iteration collects all completion reports
+// before releasing the workers together.
+func spawnMaster(p Placement, master, workers, iterations int, policy sched.Policy) *sched.Task {
+	return p.Spawn(master, 0, sched.TaskSpec{Name: "M", Policy: policy}, func(r *mpi.Rank) {
+		for q := 0; q < workers; q++ {
+			r.Send(q, 0, 1024)
+		}
+		for it := 0; it < iterations; it++ {
+			for q := 0; q < workers; q++ {
+				r.Recv(q, 1+it)
+			}
+			for q := 0; q < workers; q++ {
+				r.Send(q, 1+it, 64)
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +203,7 @@ type MetBenchVarConfig struct {
 	SmallWork   sim.Time
 	LargeWork   sim.Time
 	Policy      sched.Policy
-	StaticPrios []power5.Priority
+	StaticPrios []power5.Priority // per worker, repeating; nil for default
 }
 
 // DefaultMetBenchVar returns the Table IV calibration (k=15, 45
@@ -165,18 +218,20 @@ func DefaultMetBenchVar() MetBenchVarConfig {
 	}
 }
 
-// BuildMetBenchVar constructs the job (same master/worker structure as
-// MetBench, with the load roles reversing every K iterations).
-func BuildMetBenchVar(k *sched.Kernel, cfg MetBenchVarConfig) *Job {
+// BuildMetBenchVar constructs the job: the same master/worker structure
+// and placement as MetBench with four workers per node, the small/large
+// role alternating by rank parity and reversing every K iterations.
+func BuildMetBenchVar(p Placement, cfg MetBenchVarConfig) *Job {
 	if cfg.Iterations <= 0 || cfg.K <= 0 {
 		panic("workloads: MetBenchVar needs iterations and K")
 	}
-	w := mpi.NewWorld(k, 5, mpi.DefaultOptions())
+	const perNode = 4
+	workers := perNode * p.Nodes()
+	w := p.NewWorld(workers + 1)
 	job := &Job{Name: "metbenchvar", World: w}
-	const master = 4
-	for i := 0; i < 4; i++ {
-		i := i
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+	master := workers
+	for i := 0; i < workers; i++ {
+		t := p.Spawn(i, i/perNode, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Recv(master, 0)
 			for it := 0; it < cfg.Iterations; it++ {
 				period := it / cfg.K
@@ -195,21 +250,7 @@ func BuildMetBenchVar(k *sched.Kernel, cfg MetBenchVarConfig) *Job {
 		})
 		job.Tasks = append(job.Tasks, t)
 	}
-	mt := w.Spawn(master, sched.TaskSpec{Name: "M", Policy: cfg.Policy},
-		func(r *mpi.Rank) {
-			for p := 0; p < 4; p++ {
-				r.Send(p, 0, 1024)
-			}
-			for it := 0; it < cfg.Iterations; it++ {
-				for p := 0; p < 4; p++ {
-					r.Recv(p, 1+it)
-				}
-				for p := 0; p < 4; p++ {
-					r.Send(p, 1+it, 64)
-				}
-			}
-		})
-	job.Tasks = append(job.Tasks, mt)
+	job.Tasks = append(job.Tasks, spawnMaster(p, master, workers, cfg.Iterations, cfg.Policy))
 	return job
 }
 
@@ -225,15 +266,17 @@ func BuildMetBenchVar(k *sched.Kernel, cfg MetBenchVarConfig) *Job {
 // the §V-C communication structure.
 type BTMZConfig struct {
 	Iterations int
-	ZoneWork   []sim.Time // per-rank compute per iteration
-	// PhaseWeights[i] splits rank i's iteration across the three sweeps.
-	// The per-rank skew is what occasionally makes even the heaviest rank
-	// wait for a neighbour's boundary data, giving the detector its
-	// iteration boundaries.
+	// ZoneWork is the per-rank compute per iteration; its length sets the
+	// rank count per machine.
+	ZoneWork []sim.Time
+	// PhaseWeights[i] splits rank i's iteration across the three sweeps
+	// (repeating; nil splits evenly). The per-rank skew is what
+	// occasionally makes even the heaviest rank wait for a neighbour's
+	// boundary data, giving the detector its iteration boundaries.
 	PhaseWeights [][3]float64
 	BoundaryMsg  int64 // bytes exchanged with each neighbour per sweep
 	Policy       sched.Policy
-	StaticPrios  []power5.Priority
+	StaticPrios  []power5.Priority // per rank, repeating; nil for default
 	JitterFrac   float64
 }
 
@@ -271,33 +314,43 @@ func BTMZStaticPrios() []power5.Priority {
 		power5.PrioMediumHigh, power5.PrioHigh}
 }
 
-// BuildBTMZ constructs the job.
-func BuildBTMZ(k *sched.Kernel, cfg BTMZConfig) *Job {
-	n := len(cfg.ZoneWork)
-	if n < 2 {
+// BuildBTMZ constructs the job: len(cfg.ZoneWork) zones per node along one
+// neighbour-exchange chain (block placement, so exactly one boundary pair
+// per node border crosses the interconnect). The per-iteration residual
+// reduction is rooted at rank 0.
+func BuildBTMZ(p Placement, cfg BTMZConfig) *Job {
+	perNode := len(cfg.ZoneWork)
+	if perNode < 2 {
 		panic("workloads: BT-MZ needs at least 2 ranks")
 	}
-	w := mpi.NewWorld(k, n, mpi.DefaultOptions())
+	nodes := p.Nodes()
+	n := perNode * nodes
+	w := p.NewWorld(n)
 	job := &Job{Name: "btmz", World: w}
-	rng := k.Engine.RNG().Split()
-	// Spawn (and therefore place) ranks so P1/P4 share core 0 and P2/P3
-	// share core 1, the layout the paper's static-priority utilizations
-	// identify. For other rank counts, fall back to rank order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if n == 4 {
-		order = []int{0, 3, 1, 2}
+	rngs := p.Streams(n, true)
+	// Spawn (and therefore place) each node's ranks so P1/P4 share core 0
+	// and P2/P3 share core 1, the layout the paper's static-priority
+	// utilizations identify. For other rank counts, fall back to rank
+	// order.
+	order := make([]int, 0, n)
+	for g := 0; g < n; g += perNode {
+		if perNode == 4 {
+			order = append(order, g, g+3, g+1, g+2)
+		} else {
+			for o := 0; o < perNode; o++ {
+				order = append(order, g+o)
+			}
+		}
 	}
 	tasks := make([]*sched.Task, n)
 	for _, i := range order {
-		i := i
+		zone := cfg.ZoneWork[i%perNode]
 		weights := [3]float64{0.33, 0.34, 0.33}
 		if cfg.PhaseWeights != nil {
-			weights = cfg.PhaseWeights[i]
+			weights = cfg.PhaseWeights[i%len(cfg.PhaseWeights)]
 		}
-		t := spawn(w, i, cfg.Policy, prioOf(cfg.StaticPrios, i), func(r *mpi.Rank) {
+		rng := rngs[i]
+		t := p.Spawn(i, i/perNode, rankSpec(cfg.Policy, cfg.StaticPrios, i), func(r *mpi.Rank) {
 			r.Barrier() // initialization sync only
 			// Boundary exchange is pipelined one sweep deep, as in the
 			// real code: the data sent after sweep k is consumed by the
@@ -309,7 +362,7 @@ func BuildBTMZ(k *sched.Kernel, cfg BTMZConfig) *Job {
 			recvs := make([]mpi.Request, 0, 2)
 			for it := 0; it < cfg.Iterations; it++ {
 				for phase := 0; phase < 3; phase++ {
-					d := sim.Time(float64(cfg.ZoneWork[i]) * weights[phase])
+					d := sim.Time(float64(zone) * weights[phase])
 					if cfg.JitterFrac > 0 {
 						d = rng.Jitter(d, cfg.JitterFrac)
 					}
@@ -333,12 +386,12 @@ func BuildBTMZ(k *sched.Kernel, cfg BTMZConfig) *Job {
 				// the iteration boundary the detector feeds on.
 				rtag := 1 << 20
 				if i == 0 {
-					for p := 1; p < n; p++ {
-						r.Recv(p, rtag+it)
+					for q := 1; q < n; q++ {
+						r.Recv(q, rtag+it)
 					}
 					r.Compute(10 * sim.Microsecond)
-					for p := 1; p < n; p++ {
-						r.Send(p, rtag+it, 64)
+					for q := 1; q < n; q++ {
+						r.Send(q, rtag+it, 64)
 					}
 				} else {
 					r.Send(0, rtag+it, 64)
@@ -367,12 +420,12 @@ type SiestaConfig struct {
 	SCFIterations int
 	SubSteps      int
 	MasterWork    sim.Time   // per sub-step
-	WorkerWork    []sim.Time // per sub-step for ranks 1..3
+	WorkerWork    []sim.Time // per sub-step for each machine's 3 workers
 	JitterFrac    float64
 	RequestBytes  int64
 	ResponseBytes int64
 	Policy        sched.Policy
-	StaticPrios   []power5.Priority
+	StaticPrios   []power5.Priority // per rank, repeating; nil for default
 }
 
 // DefaultSiesta returns the Table VI calibration (benzene-like: utils
@@ -394,34 +447,34 @@ func DefaultSiesta() SiestaConfig {
 	}
 }
 
-// BuildSiesta constructs the job.
-func BuildSiesta(k *sched.Kernel, cfg SiestaConfig) *Job {
+// BuildSiesta constructs the job: the master (rank 0) on node 0 farms
+// sub-steps to three workers per node, placed in blocks beside it.
+func BuildSiesta(p Placement, cfg SiestaConfig) *Job {
 	if len(cfg.WorkerWork) != 3 {
 		panic("workloads: SIESTA analogue uses exactly 4 ranks")
 	}
-	w := mpi.NewWorld(k, 4, mpi.DefaultOptions())
+	perNode := len(cfg.WorkerWork)
+	nw := perNode * p.Nodes()
+	w := p.NewWorld(nw + 1)
 	job := &Job{Name: "siesta", World: w}
 	total := cfg.SCFIterations * cfg.SubSteps
 	// Per-rank RNGs so jitter streams are independent of scheduling.
-	rngs := make([]*sim.RNG, 4)
-	for i := range rngs {
-		rngs[i] = k.Engine.RNG().Split()
-	}
+	rngs := p.Streams(nw+1, false)
 	// Master (P1): computes sub-steps back to back, sending one request
 	// per worker per sub-step and collecting the responses of sub-step
 	// j-2 — deep enough pipelining that the master almost never blocks.
-	t := spawn(w, 0, cfg.Policy, prioOf(cfg.StaticPrios, 0), func(r *mpi.Rank) {
+	t := p.Spawn(0, 0, rankSpec(cfg.Policy, cfg.StaticPrios, 0), func(r *mpi.Rank) {
 		r.Barrier()
 		const depth = 2
 		for j := 0; j < total; j++ {
 			r.Compute(rngs[0].Jitter(cfg.MasterWork, cfg.JitterFrac))
-			for p := 1; p <= 3; p++ {
-				r.Send(p, j, cfg.RequestBytes)
+			for q := 1; q <= nw; q++ {
+				r.Send(q, j, cfg.RequestBytes)
 			}
 			if j >= depth {
 				var reqs []mpi.Request
-				for p := 1; p <= 3; p++ {
-					reqs = append(reqs, r.Irecv(p, j-depth))
+				for q := 1; q <= nw; q++ {
+					reqs = append(reqs, r.Irecv(q, j-depth))
 				}
 				r.Waitall(reqs)
 			}
@@ -432,21 +485,20 @@ func BuildSiesta(k *sched.Kernel, cfg SiestaConfig) *Job {
 				continue
 			}
 			var reqs []mpi.Request
-			for p := 1; p <= 3; p++ {
-				reqs = append(reqs, r.Irecv(p, j))
+			for q := 1; q <= nw; q++ {
+				reqs = append(reqs, r.Irecv(q, j))
 			}
 			r.Waitall(reqs)
 		}
 	})
 	job.Tasks = append(job.Tasks, t)
-	for p := 1; p <= 3; p++ {
-		p := p
-		work := cfg.WorkerWork[p-1]
-		t := spawn(w, p, cfg.Policy, prioOf(cfg.StaticPrios, p), func(r *mpi.Rank) {
+	for q := 1; q <= nw; q++ {
+		work := cfg.WorkerWork[(q-1)%perNode]
+		t := p.Spawn(q, (q-1)/perNode, rankSpec(cfg.Policy, cfg.StaticPrios, q), func(r *mpi.Rank) {
 			r.Barrier()
 			for j := 0; j < total; j++ {
 				r.Recv(0, j)
-				r.Compute(rngs[p].Jitter(work, cfg.JitterFrac))
+				r.Compute(rngs[q].Jitter(work, cfg.JitterFrac))
 				r.Send(0, j, cfg.ResponseBytes)
 			}
 		})

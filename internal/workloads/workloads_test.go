@@ -21,7 +21,7 @@ func TestMetBenchStructure(t *testing.T) {
 	cfg.Iterations = 3
 	cfg.SmallWork = 10 * sim.Millisecond
 	cfg.LargeWork = 40 * sim.Millisecond
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	if len(job.Tasks) != 5 {
 		t.Fatalf("tasks = %d, want 4 workers + master", len(job.Tasks))
 	}
@@ -53,7 +53,7 @@ func TestMetBenchPlacementInterleaved(t *testing.T) {
 	cfg.Iterations = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	// Small+large per core: P1/P2 on core 0, P3/P4 on core 1.
 	if job.Tasks[0].CPU/2 != job.Tasks[1].CPU/2 {
@@ -74,7 +74,7 @@ func TestMetBenchStaticPriosApplied(t *testing.T) {
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
 	cfg.StaticPrios = MetBenchStaticPrios()
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	for i, want := range []power5.Priority{4, 6, 4, 6} {
 		if job.Tasks[i].HWPrio != want {
@@ -91,7 +91,7 @@ func TestMetBenchVarReversesRoles(t *testing.T) {
 	cfg.K = 2
 	cfg.SmallWork = 5 * sim.Millisecond
 	cfg.LargeWork = 20 * sim.Millisecond
-	job := BuildMetBenchVar(k, cfg)
+	job := BuildMetBenchVar(OnKernel(k), cfg)
 	end := k.RunUntilWatchedExit(10 * sim.Second)
 	if end >= 10*sim.Second {
 		t.Fatal("MetBenchVar deadlocked")
@@ -118,7 +118,7 @@ func TestBTMZStructure(t *testing.T) {
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(k, cfg)
+	job := BuildBTMZ(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
@@ -154,7 +154,7 @@ func TestBTMZHeaviestRankSleepsEachIteration(t *testing.T) {
 	for i := range cfg.ZoneWork {
 		cfg.ZoneWork[i] /= 10
 	}
-	job := BuildBTMZ(k, cfg)
+	job := BuildBTMZ(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(10 * sim.Second)
 	// The residual reduction gives even P4 a wait phase per iteration —
 	// the detector's trigger.
@@ -169,7 +169,7 @@ func TestSiestaStructure(t *testing.T) {
 	cfg := DefaultSiesta()
 	cfg.SCFIterations = 2
 	cfg.SubSteps = 5
-	job := BuildSiesta(k, cfg)
+	job := BuildSiesta(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d", len(job.Tasks))
 	}
@@ -198,11 +198,11 @@ func TestSiestaStructure(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	k := newKernel(1)
 	for name, f := range map[string]func(){
-		"metbench-iters":    func() { BuildMetBench(k, MetBenchConfig{}) },
-		"metbenchvar-iters": func() { BuildMetBenchVar(k, MetBenchVarConfig{Iterations: 3}) },
-		"btmz-ranks":        func() { BuildBTMZ(k, BTMZConfig{Iterations: 1, ZoneWork: []sim.Time{1}}) },
+		"metbench-iters":    func() { BuildMetBench(OnKernel(k), MetBenchConfig{}) },
+		"metbenchvar-iters": func() { BuildMetBenchVar(OnKernel(k), MetBenchVarConfig{Iterations: 3}) },
+		"btmz-ranks":        func() { BuildBTMZ(OnKernel(k), BTMZConfig{Iterations: 1, ZoneWork: []sim.Time{1}}) },
 		"siesta-workers": func() {
-			BuildSiesta(k, SiestaConfig{SCFIterations: 1, SubSteps: 1,
+			BuildSiesta(OnKernel(k), SiestaConfig{SCFIterations: 1, SubSteps: 1,
 				WorkerWork: []sim.Time{1, 2}})
 		},
 	} {
@@ -245,7 +245,7 @@ func TestMetBenchScalesToEightWorkers(t *testing.T) {
 	cfg.SmallWork = 40 * sim.Millisecond
 	cfg.LargeWork = 230 * sim.Millisecond
 	cfg.Policy = sched.PolicyHPC
-	job := BuildMetBench(k, cfg)
+	job := BuildMetBench(OnKernel(k), cfg)
 	end := k.RunUntilWatchedExit(60 * sim.Second)
 	if end >= 60*sim.Second {
 		t.Fatal("8-worker MetBench deadlocked")
@@ -270,7 +270,7 @@ func TestJitterChangesTimingNotStructure(t *testing.T) {
 		cfg.SmallWork = 5 * sim.Millisecond
 		cfg.LargeWork = 20 * sim.Millisecond
 		cfg.JitterFrac = j
-		BuildMetBench(k, cfg)
+		BuildMetBench(OnKernel(k), cfg)
 		end := k.RunUntilWatchedExit(10 * sim.Second)
 		k.Shutdown()
 		return end
@@ -288,7 +288,7 @@ func TestMatMulDAGStructure(t *testing.T) {
 	k := newKernel(1)
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 12
-	job := BuildMatMulDAG(k, cfg)
+	job := BuildMatMulDAG(OnKernel(k), cfg)
 	if len(job.Tasks) != 4 {
 		t.Fatalf("tasks = %d, want one per UpdateWork entry", len(job.Tasks))
 	}
@@ -318,8 +318,8 @@ func TestMatMulDAGStructure(t *testing.T) {
 func TestMatMulDAGValidation(t *testing.T) {
 	k := newKernel(1)
 	for name, f := range map[string]func(){
-		"ranks":  func() { BuildMatMulDAG(k, MatMulDAGConfig{Panels: 2, UpdateWork: []sim.Time{1}}) },
-		"panels": func() { BuildMatMulDAG(k, MatMulDAGConfig{UpdateWork: []sim.Time{1, 2}}) },
+		"ranks":  func() { BuildMatMulDAG(OnKernel(k), MatMulDAGConfig{Panels: 2, UpdateWork: []sim.Time{1}}) },
+		"panels": func() { BuildMatMulDAG(OnKernel(k), MatMulDAGConfig{UpdateWork: []sim.Time{1, 2}}) },
 	} {
 		func() {
 			defer func() {
@@ -337,7 +337,7 @@ func TestMatMulDAGStaticPriosApplied(t *testing.T) {
 	cfg := DefaultMatMulDAG()
 	cfg.Panels = 4
 	cfg.StaticPrios = MatMulDAGStaticPrios()
-	job := BuildMatMulDAG(k, cfg)
+	job := BuildMatMulDAG(OnKernel(k), cfg)
 	k.RunUntilWatchedExit(60 * sim.Second)
 	for i, want := range MatMulDAGStaticPrios() {
 		if job.Tasks[i].HWPrio != want {
