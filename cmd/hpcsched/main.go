@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"hpcsched/internal/calibrate"
@@ -334,25 +335,6 @@ func runFigure(cmd string, args []string) {
 	}
 }
 
-func modeFromName(s string) (experiments.Mode, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "cfs":
-		return experiments.ModeBaseline, nil
-	case "static":
-		return experiments.ModeStatic, nil
-	case "uniform":
-		return experiments.ModeUniform, nil
-	case "adaptive":
-		return experiments.ModeAdaptive, nil
-	case "hybrid":
-		return experiments.ModeHybrid, nil
-	case "policy-only", "hpconly":
-		return experiments.ModeHPCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
 func runOne(args []string) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	wl := fs.String("workload", "metbench", "workload name")
@@ -365,7 +347,11 @@ func runOne(args []string) {
 	var fv faults.FlagValue
 	fs.Var(&fv, "faults", `fault-injection spec, e.g. "slow:n=2,factor=0.5;loss" (empty = none)`)
 	parseFlags(fs, args)
-	mode, err := modeFromName(*modeName)
+	if !slices.Contains(workloads.Names(), *wl) {
+		fmt.Fprintf(os.Stderr, "unknown workload %q (one of %s)\n", *wl, strings.Join(workloads.Names(), ", "))
+		exit(2)
+	}
+	mode, err := experiments.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)

@@ -13,19 +13,6 @@ import (
 	"hpcsched/internal/sim"
 )
 
-func TestModeFromName(t *testing.T) {
-	for name, ok := range map[string]bool{
-		"baseline": true, "cfs": true, "static": true, "uniform": true,
-		"adaptive": true, "hybrid": true, "policy-only": true, "hpconly": true,
-		"UNIFORM": true, "bogus": false,
-	} {
-		_, err := modeFromName(name)
-		if (err == nil) != ok {
-			t.Errorf("modeFromName(%q) err=%v, want ok=%v", name, err, ok)
-		}
-	}
-}
-
 func TestTableWorkloadMapping(t *testing.T) {
 	for cmd, want := range map[string]string{
 		"table3": "metbench",

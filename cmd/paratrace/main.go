@@ -17,11 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
+	"hpcsched/internal/workloads"
 )
 
 func main() {
@@ -36,22 +38,13 @@ func main() {
 	to := flag.Float64("to", 0, "window end, seconds (ASCII mode; 0 = full)")
 	flag.Parse()
 
-	var mode experiments.Mode
-	switch strings.ToLower(*modeName) {
-	case "baseline", "cfs":
-		mode = experiments.ModeBaseline
-	case "static":
-		mode = experiments.ModeStatic
-	case "uniform":
-		mode = experiments.ModeUniform
-	case "adaptive":
-		mode = experiments.ModeAdaptive
-	case "hybrid":
-		mode = experiments.ModeHybrid
-	case "policy-only", "hpconly":
-		mode = experiments.ModeHPCOnly
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
+	if !slices.Contains(workloads.Names(), *wl) {
+		fmt.Fprintf(os.Stderr, "unknown workload %q (one of %s)\n", *wl, strings.Join(workloads.Names(), ", "))
+		os.Exit(2)
+	}
+	mode, err := experiments.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

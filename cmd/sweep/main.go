@@ -38,6 +38,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"hpcsched/internal/batch"
 	"hpcsched/internal/core"
@@ -47,6 +49,7 @@ import (
 	"hpcsched/internal/noise"
 	"hpcsched/internal/power5"
 	"hpcsched/internal/selector"
+	"hpcsched/internal/workloads"
 )
 
 // point is one sweep cell: a named configuration plus the baseline its
@@ -95,6 +98,12 @@ func main() {
 	maxRetries := flag.Int("max-retries", 0, "retries per failed replica, each on a fresh derived seed")
 	stallTimeout := flag.Duration("stall-timeout", 0, "per-replica sim-clock liveness watchdog (0 = off)")
 	flag.Parse()
+	if !slices.Contains(workloads.Names(), *wl) {
+		// Reject before any run: every replica of an unknown workload
+		// would fail, and the sweep would print a table of failed cells.
+		fmt.Fprintf(os.Stderr, "unknown workload %q (one of %s)\n", *wl, strings.Join(workloads.Names(), ", "))
+		os.Exit(2)
+	}
 
 	exec := experiments.ExecOptions{
 		Workers: *workers,

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"hpcsched/internal/noise"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
+	"hpcsched/internal/workloads"
 )
 
 // within asserts v ∈ [lo, hi].
@@ -325,4 +329,66 @@ func TestUnknownWorkloadPanics(t *testing.T) {
 		}
 	}()
 	Run(Config{Workload: "bogus", Mode: ModeBaseline, Seed: 1})
+}
+
+// TestRunCtxUnknownWorkload: RunCtx names the known workloads in its error
+// and returns before building anything, on one node and on a cluster, so
+// no process is left behind.
+func TestRunCtxUnknownWorkload(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := func() (err error) {
+				defer func() {
+					if v := recover(); v != nil {
+						err = fmt.Errorf("panicked: %v", v)
+					}
+				}()
+				_, err = RunCtx(context.Background(), Config{Workload: "foo", Seed: 1, Nodes: nodes})
+				return err
+			}()
+			if err == nil || !strings.Contains(err.Error(), strings.Join(workloads.Names(), ", ")) ||
+				strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("err = %v, want an error naming %v", err, workloads.Names())
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before, %d after; processes leaked", before, after)
+			}
+		})
+	}
+}
+
+// TestStaticMetBenchEightWorkers: a single-node Static MetBench with eight
+// workers repeats the four hand-tuned priorities, as a cluster run tiles
+// them across nodes.
+func TestStaticMetBenchEightWorkers(t *testing.T) {
+	res := Run(Config{Workload: "metbench", Mode: ModeStatic, Seed: 1,
+		TweakMetBench: func(c *workloads.MetBenchConfig) {
+			c.Workers = 8
+			c.Iterations = 2
+			c.SmallWork = 5 * sim.Millisecond
+			c.LargeWork = 20 * sim.Millisecond
+		}})
+	if len(res.Tasks) != 9 {
+		t.Fatalf("tasks = %d, want 8 workers + master", len(res.Tasks))
+	}
+	want := workloads.MetBenchStaticPrios()
+	for i := 0; i < 8; i++ {
+		if got := res.Tasks[i].HWPrio; got != want[i%len(want)] {
+			t.Errorf("P%d priority = %v, want %v", i+1, got, want[i%len(want)])
+		}
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for name, ok := range map[string]bool{
+		"baseline": true, "cfs": true, "static": true, "uniform": true,
+		"adaptive": true, "hybrid": true, "policy-only": true, "hpconly": true,
+		"UNIFORM": true, "bogus": false,
+	} {
+		_, err := ParseMode(name)
+		if (err == nil) != ok {
+			t.Errorf("ParseMode(%q) err=%v, want ok=%v", name, err, ok)
+		}
+	}
 }

@@ -133,7 +133,8 @@ func TestInboxSteadyStateAllocFree(t *testing.T) {
 			}
 		}
 		for i := 0; i < 32; i++ { // pooled in-flight deliveries
-			w.post(r, message{src: 0, tag: 1, size: 1}, sim.Microsecond)
+			d := r.ns.drawDelivery(r, message{src: 0, tag: 1, size: 1})
+			k.Engine.After(sim.Microsecond, d.fire)
 		}
 		k.Engine.Run(k.Engine.Now() + sim.Millisecond)
 		for i := 0; i < 32; i++ {

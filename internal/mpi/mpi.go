@@ -220,37 +220,19 @@ func (w *World) AttachNode(node int, k *sched.Kernel) *World {
 // between attached nodes' engines. Single-node worlds leave it nil.
 func (w *World) SetRouter(rt Router) { w.router = rt }
 
-// Nodes returns the number of attached nodes.
-func (w *World) Nodes() int { return len(w.nodes) }
-
-// ExtraDelay returns node 0's fault-injected per-message latency add-on.
-func (w *World) ExtraDelay() sim.Time { return w.nodes[0].extraDelay }
-
-// SetExtraDelay sets a latency add-on applied to every subsequent Send from
-// node 0 (the fault layer's injected MPI message delay; negative values are
-// clamped to zero). Messages already in flight are unaffected. Cluster runs
-// scope the knob per node with SetNodeExtraDelay.
-func (w *World) SetExtraDelay(d sim.Time) { w.SetNodeExtraDelay(0, d) }
-
-// SetNodeExtraDelay scopes the fault-injected latency add-on to one node's
-// outgoing messages: per-node fault schedules then compose with the
-// rank-pair topology extras instead of overwriting each other.
+// SetNodeExtraDelay sets the fault-injected latency add-on (the mpidelay:
+// fault clause) applied to every subsequent Send from one node; negative
+// values are clamped to zero and messages already in flight are
+// unaffected. Per-node fault schedules then compose with the rank-pair
+// topology extras instead of overwriting each other.
 func (w *World) SetNodeExtraDelay(node int, d sim.Time) {
+	if node < 0 || node >= len(w.nodes) {
+		panic(fmt.Sprintf("mpi: SetNodeExtraDelay(%d) out of range (world has %d nodes)", node, len(w.nodes)))
+	}
 	if d < 0 {
 		d = 0
 	}
-	if node < 0 || node >= len(w.nodes) {
-		node = 0
-	}
 	w.nodes[node].extraDelay = d
-}
-
-// NodeExtraDelay returns the given node's current latency add-on.
-func (w *World) NodeExtraDelay(node int) sim.Time {
-	if node < 0 || node >= len(w.nodes) {
-		node = 0
-	}
-	return w.nodes[node].extraDelay
 }
 
 // SetPairExtraDelay adds a fixed latency to every message from rank src to
@@ -278,23 +260,6 @@ func (w *World) PairExtraDelay(src, dst int) sim.Time {
 		return 0
 	}
 	return w.pairExtra[src*len(w.ranks)+dst]
-}
-
-// MinPairExtraDelay returns the smallest add-on over the given rank pairs
-// (the lookahead-floor contribution of the topology). pairs is a list of
-// (src, dst) index pairs; an empty list returns 0.
-func (w *World) MinPairExtraDelay(pairs [][2]int) sim.Time {
-	if len(pairs) == 0 {
-		return 0
-	}
-	min := sim.MaxTime
-	for _, p := range pairs {
-		d := w.PairExtraDelay(p[0], p[1])
-		if d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // MsgCount returns the number of messages sent, summed over nodes.
@@ -339,16 +304,6 @@ func (w *World) NodeMsgStats(node int) (count, bytes, remote int64) {
 // windows) or from that engine's own callbacks.
 func (w *World) NodePendingSends(node int) int64 {
 	return w.nodes[node].pendingRoutes
-}
-
-// post schedules the delivery of m to target after delay — the immediate,
-// engine-side path (tests, future eager transports). Send instead defers
-// the equivalent via drawDelivery + Env.DeferAfter so the post rides the
-// rank's batched exchange. post is same-node only: it draws from and
-// schedules on the target's own node.
-func (w *World) post(target *Rank, m message, delay sim.Time) {
-	d := target.ns.drawDelivery(target, m)
-	target.ns.engine.After(delay, d.fire)
 }
 
 // drawDelivery takes a pooled delivery object, loads it with target and

@@ -26,10 +26,11 @@ func deliveryTime(t *testing.T, mutate func(w *World)) sim.Time {
 	return arrived
 }
 
-// TestPairExtraComposesWithNodeExtra pins the SetExtraDelay scoping fix:
-// the per-rank-pair add-on (the cluster topology model) and the per-node
-// add-on (the mpidelay: fault clause) must compose additively on the same
-// message, not overwrite one global knob.
+// TestPairExtraComposesWithNodeExtra pins the per-node scoping of the fault
+// delay: the per-rank-pair add-on (the cluster topology model) and the
+// per-node add-on (the mpidelay: fault clause) must compose additively on
+// the same message, not overwrite one global knob. Node 0 is the add-on a
+// single-node fault schedule drives.
 func TestPairExtraComposesWithNodeExtra(t *testing.T) {
 	const (
 		nodeExtra = 3 * sim.Millisecond
@@ -66,18 +67,22 @@ func TestPairExtraIsDirectional(t *testing.T) {
 	if d := w.PairExtraDelay(0, 1); d != 5*sim.Millisecond {
 		t.Errorf("forward pair delay = %v, want 5ms", d)
 	}
-	if d := w.MinPairExtraDelay([][2]int{{0, 1}, {1, 0}}); d != 0 {
-		t.Errorf("min over both directions = %v, want 0", d)
-	}
 }
 
-// TestLegacySetExtraDelayStillGlobalForNodeZero: the legacy entry point is
-// now an alias for node 0, keeping the single-node fault path intact.
-func TestLegacySetExtraDelay(t *testing.T) {
-	const extra = 2 * sim.Millisecond
-	base := deliveryTime(t, func(w *World) {})
-	legacy := deliveryTime(t, func(w *World) { w.SetExtraDelay(extra) })
-	if got := legacy - base; got != extra {
-		t.Errorf("SetExtraDelay shifted delivery by %v, want %v", got, extra)
+// TestSetNodeExtraDelayOutOfRangePanics: a node the world does not have is
+// a caller bug, rejected like an out-of-range rank pair instead of
+// silently setting node 0's delay.
+func TestSetNodeExtraDelayOutOfRangePanics(t *testing.T) {
+	k, w := newWorld(t, 2)
+	defer k.Shutdown()
+	for _, node := range []int{-1, 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetNodeExtraDelay(%d) on a one-node world did not panic", node)
+				}
+			}()
+			w.SetNodeExtraDelay(node, sim.Millisecond)
+		}()
 	}
 }

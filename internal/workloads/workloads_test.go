@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"hpcsched/internal/core"
@@ -162,6 +163,39 @@ func TestBTMZHeaviestRankSleepsEachIteration(t *testing.T) {
 		t.Errorf("P4 woke %d times, want ≥%d", job.Tasks[3].WakeupCount, cfg.Iterations)
 	}
 	k.Shutdown()
+}
+
+// TestBTMZPhaseWeightsWrap: with more zones than phase-weight rows, the
+// rows repeat, as they already did across cluster nodes. The run matches
+// one with the rows tiled out by hand, and differs from the even split.
+func TestBTMZPhaseWeightsWrap(t *testing.T) {
+	run := func(weights [][3]float64) string {
+		k := newKernel(1)
+		defer k.Shutdown()
+		cfg := DefaultBTMZ()
+		cfg.Iterations = 3
+		cfg.ZoneWork = []sim.Time{4 * sim.Millisecond, 8 * sim.Millisecond,
+			12 * sim.Millisecond, 16 * sim.Millisecond, 20 * sim.Millisecond, 24 * sim.Millisecond}
+		cfg.PhaseWeights = weights
+		job := BuildBTMZ(OnKernel(k), cfg)
+		end := k.RunUntilWatchedExit(10 * sim.Second)
+		if end >= 10*sim.Second {
+			t.Fatal("BT-MZ deadlocked")
+		}
+		out := fmt.Sprintf("end=%v", end)
+		for _, task := range job.Tasks {
+			out += fmt.Sprintf(" %s:%.6f/%d", task.Name, task.Utilization(), task.WakeupCount)
+		}
+		return out
+	}
+	a, b := [3]float64{0.6, 0.3, 0.1}, [3]float64{0.1, 0.3, 0.6}
+	wrapped := run([][3]float64{a, b})
+	if tiled := run([][3]float64{a, b, a, b, a, b}); wrapped != tiled {
+		t.Errorf("wrapped phase weights differ from tiled ones:\n%s\n%s", wrapped, tiled)
+	}
+	if even := run(nil); wrapped == even {
+		t.Error("phase weights had no effect")
+	}
 }
 
 func TestSiestaStructure(t *testing.T) {
