@@ -52,10 +52,11 @@ type ClusterInfo struct {
 }
 
 // runClusterCtx is RunCtx for Config.Nodes > 1: the same machine (newNode)
-// and job (buildJob) as the single-node path, the machine replicated once per
-// node and the job scaled across the cluster, with per-node fault schedules,
-// and the node engines advanced by the conservative PDES of internal/cluster. Determinism carries
-// over: the result is byte-identical under either pacing (Config.FloorPacing).
+// and job (buildJob) as the single-node path, the machine replicated once
+// per node and the job scaled across the cluster, with per-node fault
+// schedules, and the node engines advanced by the conservative PDES of
+// internal/cluster. Determinism carries over: the result is byte-identical
+// under either pacing (Config.FloorPacing).
 func runClusterCtx(ctx context.Context, cfg Config) (Result, error) {
 	topology := cfg.Topology
 	if topology == "" {

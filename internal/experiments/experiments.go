@@ -210,6 +210,7 @@ func Run(cfg Config) Result {
 // reason and a diagnostic dump; the kernel is shut down either way (no
 // leaked process goroutines). A panic out of the model layers shuts the
 // kernel down and re-panics, so batch-level recovery sees a clean process.
+// An unknown workload name is an error returned before anything is built.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if !slices.Contains(workloads.Names(), cfg.Workload) {
 		return Result{Config: cfg}, fmt.Errorf("experiments: unknown workload %q (one of %s)",

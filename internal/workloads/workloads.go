@@ -451,7 +451,7 @@ func DefaultSiesta() SiestaConfig {
 // sub-steps to three workers per node, placed in blocks beside it.
 func BuildSiesta(p Placement, cfg SiestaConfig) *Job {
 	if len(cfg.WorkerWork) != 3 {
-		panic("workloads: SIESTA analogue uses exactly 4 ranks")
+		panic("workloads: SIESTA analogue uses exactly 3 workers per machine")
 	}
 	perNode := len(cfg.WorkerWork)
 	nw := perNode * p.Nodes()

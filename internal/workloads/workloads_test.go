@@ -166,8 +166,8 @@ func TestBTMZHeaviestRankSleepsEachIteration(t *testing.T) {
 }
 
 // TestBTMZPhaseWeightsWrap: with more zones than phase-weight rows, the
-// rows repeat, as they already did across cluster nodes. The run matches
-// one with the rows tiled out by hand, and differs from the even split.
+// rows repeat: the run matches one with the rows tiled out by hand, and
+// differs from the even split.
 func TestBTMZPhaseWeightsWrap(t *testing.T) {
 	run := func(weights [][3]float64) string {
 		k := newKernel(1)
