@@ -1103,12 +1103,10 @@ func (k *Kernel) coreSpeedChanged(co *power5.Core, mask int) {
 // startTicker arms the periodic scheduler tick for cpu. Ticks are staggered
 // across CPUs as on real SMP kernels. Each CPU owns exactly one ticker
 // event and one callback for the kernel's lifetime: the callback re-arms
-// the event via Reschedule, so the periodic tick never allocates — and
-// because the cadence is fixed, the event qualifies for the engine's
-// periodic ring, which re-arms in O(1) without touching the timer wheel.
-// On provably idle CPUs the re-arm instead parks the event past its grid
-// (tickless idle — see maybeParkTick), and the event rejoins the ring when
-// the CPU wakes back onto the cadence.
+// the event via Reschedule, so the periodic tick never allocates. On
+// provably idle CPUs the re-arm instead parks the event past its grid
+// (tickless idle — see maybeParkTick) until the CPU wakes back onto the
+// cadence.
 func (k *Kernel) startTicker(cpu int) {
 	period := k.Opts.TickPeriod
 	offset := period * sim.Time(cpu) / sim.Time(k.Chip.NumCPUs())
@@ -1117,7 +1115,7 @@ func (k *Kernel) startTicker(cpu int) {
 	rq.loadTicked = rq.gridBase - period
 	rq.lastTickAt = rq.gridBase - period
 	tick := func() { k.tick(cpu) }
-	rq.tickEv = k.Engine.SchedulePeriodic(rq.gridBase, period, tick)
+	rq.tickEv = k.Engine.Schedule(rq.gridBase, tick)
 }
 
 // gridCeil returns the smallest tick-grid instant of rq at or after t.

@@ -47,14 +47,16 @@ func TestWorkDoneMonotoneAndSettled(t *testing.T) {
 	k.Watch(b)
 
 	var samples []float64
-	probe := e.SchedulePeriodic(sim.Millisecond, sim.Millisecond, func() {
+	var probe *sim.Event
+	probe = e.Schedule(sim.Millisecond, func() {
 		samples = append(samples, a.WorkDone(e.Now()))
+		e.Reschedule(probe, e.Now()+sim.Millisecond)
 	})
 	k.RunUntilWatchedExit(10 * sim.Second)
 	e.Cancel(probe)
 
-	if len(samples) == 0 {
-		t.Fatal("no samples")
+	if len(samples) < 50 {
+		t.Fatalf("%d samples, want one per millisecond of the ~80 ms run", len(samples))
 	}
 	for i := 1; i < len(samples); i++ {
 		if samples[i] < samples[i-1] {

@@ -17,15 +17,12 @@
 // unrelated recycled event may be cancelled in its place. Every holder in
 // this repository follows that discipline (see sched.Task.finishEv).
 //
-// The pending-event store is tiered: a dedicated periodic ring pops and
-// re-arms the fixed-cadence events (the per-CPU scheduler ticks, armed via
-// SchedulePeriodic — the large majority of all events) in O(1) with no
-// comparisons; a hierarchical timer wheel (wheel.go) absorbs every other
-// deadline within ~17 s of the clock — RR re-arms through Reschedule,
-// burst completions, message deliveries, same-instant scheduling passes —
-// at O(1) per operation; and a flat 4-ary indexed min-heap holds the rare
-// far-future deadlines. Step/Run take the global (at, seq) minimum across
-// the tiers, so firing order is identical to a single heap.
+// Every pending event — scheduler ticks, RR re-arms, burst completions,
+// message deliveries, same-instant scheduling passes — lives in one
+// hierarchical timer wheel (wheel.go) whose levels span every Time, at
+// O(1) per schedule, cancel and re-arm. Step/Run fire the wheel minimum,
+// so firing order is the global (at, seq) order a single sorted queue
+// would give.
 package sim
 
 import (
@@ -67,18 +64,13 @@ type Event struct {
 	at       Time
 	seq      uint64
 	schedAt  Time // instant the event was (re)armed — see FiringScheduledAt
-	period   Time // fixed re-arm cadence (SchedulePeriodic), 0 = aperiodic
 	do       func()
-	index    int32 // position in the overflow heap, -1 when not in the heap
-	slot     int32 // level<<8|slot in the timer wheel; -1 none; ringSlot = periodic ring
+	slot     int32 // level<<8|slot in the timer wheel, -1 when not queued
 	canceled bool
 	pooled   bool   // on the free list (dead until reacquired)
-	next     *Event // free-list link while pooled, slot-list link while wheeled
+	next     *Event // free-list link while pooled, slot-list link while queued
 	prev     *Event // slot-list back link (O(1) unlink for Cancel/Reschedule)
 }
-
-// ringSlot marks an event as resident in the periodic ring.
-const ringSlot int32 = -2
 
 // At returns the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
@@ -87,17 +79,12 @@ func (e *Event) At() Time { return e.at }
 // until the engine recycles the event for a later Schedule.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// queued reports whether the event sits in any tier (heap, wheel or ring).
-func (e *Event) queued() bool { return e.index >= 0 || e.slot != -1 }
+// queued reports whether the event sits in the timer wheel.
+func (e *Event) queued() bool { return e.slot >= 0 }
 
-// initialQueueCapacity pre-sizes the overflow heap so simulations with many
-// far-future deadlines never grow it; poolChunk is how many events each pool
-// refill allocates in one contiguous block (good locality, amortised
-// allocation).
-const (
-	initialQueueCapacity = 256
-	poolChunk            = 128
-)
+// poolChunk is how many events each pool refill allocates in one contiguous
+// block (good locality, amortised allocation).
+const poolChunk = 128
 
 // Engine is the discrete-event simulation core. It is not safe for
 // concurrent use: all interaction must happen from the goroutine driving
@@ -105,22 +92,12 @@ const (
 // the proc package, so this is never a limitation in practice).
 type Engine struct {
 	now      Time
-	wheel    timerWheel
-	ring     periodicRing // fixed-cadence events (SchedulePeriodic)
-	heap     eventQueue   // far-future overflow (beyond the wheel horizon)
+	wheel    timerWheel // every pending event
 	seq      uint64
 	rng      *RNG
 	stopped  bool
 	firingAt Time   // schedAt of the event whose callback is running
 	free     *Event // event free list (recycled events)
-
-	// ringFired is the periodic-ring head whose callback is currently
-	// running. The fused pop/re-arm path (fire) leaves the firing head in
-	// place instead of dequeuing it: the overwhelmingly common in-cadence
-	// Reschedule from the callback then rotates it head-to-tail in one
-	// step, and only a Cancel, an off-cadence re-arm or a callback that
-	// never re-arms pays the remove.
-	ringFired *Event
 
 	// Interrupt polling (SetInterrupt): intrFn is consulted every intrEvery
 	// fired events from inside Run's loop. nil means no polling — the hot
@@ -137,12 +114,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and the RNG seeded with
-// seed. The event queues and pool are pre-sized so typical simulations never
-// allocate on the scheduling hot path.
+// seed. The timer wheel is a fixed array and the event pool grows in
+// chunks, so steady-state scheduling never allocates.
 func NewEngine(seed uint64) *Engine {
-	e := &Engine{rng: NewRNG(seed)}
-	e.heap.items = make([]heapItem, 0, initialQueueCapacity)
-	return e
+	return &Engine{rng: NewRNG(seed)}
 }
 
 // acquire takes an event from the free list, refilling it with a contiguous
@@ -151,7 +126,6 @@ func (e *Engine) acquire() *Event {
 	if e.free == nil {
 		chunk := make([]Event, poolChunk)
 		for i := range chunk {
-			chunk[i].index = -1
 			chunk[i].slot = -1
 			chunk[i].pooled = true
 			chunk[i].next = e.free
@@ -164,9 +138,7 @@ func (e *Engine) acquire() *Event {
 	ev.prev = nil
 	ev.pooled = false
 	ev.canceled = false
-	ev.index = -1
 	ev.slot = -1
-	ev.period = 0
 	return ev
 }
 
@@ -193,30 +165,6 @@ func (e *Engine) FiringScheduledAt() Time { return e.firingAt }
 // RNG returns the engine's deterministic random number generator.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// enqueue routes ev to its tier: the timer wheel when the deadline lies
-// within the wheel horizon of the wheel reference, the overflow heap
-// otherwise.
-func (e *Engine) enqueue(ev *Event) {
-	diff := uint64(ev.at ^ e.wheel.time)
-	if diff>>wheelHorizonBits == 0 {
-		e.wheel.insertDiff(ev, diff)
-	} else {
-		e.heap.push(ev)
-	}
-}
-
-// dequeue removes a pending event from whichever tier holds it.
-func (e *Engine) dequeue(ev *Event) {
-	switch {
-	case ev.slot >= 0:
-		e.wheel.remove(ev)
-	case ev.slot == ringSlot:
-		e.ring.remove(ev)
-	default:
-		e.heap.remove(int(ev.index))
-	}
-}
-
 // Schedule registers do to run at virtual time at. Scheduling in the past
 // (at < Now) panics: it always indicates a model bug, and silently clamping
 // would mask it. Scheduling exactly at Now is allowed and the event runs
@@ -235,7 +183,7 @@ func (e *Engine) Schedule(at Time, do func()) *Event {
 	ev.seq = e.seq
 	ev.schedAt = e.now
 	ev.do = do
-	e.enqueue(ev)
+	e.wheel.insert(ev)
 	return ev
 }
 
@@ -247,63 +195,27 @@ func (e *Engine) After(d Time, do func()) *Event {
 	return e.Schedule(e.now+d, do)
 }
 
-// SchedulePeriodic registers a fixed-cadence event: do first runs at at and
-// is expected to re-arm the event from its own callback via
-// Reschedule(ev, Now()+period) every time. Such events live in a dedicated
-// ring that pops and re-arms in O(1) — no wheel or heap traffic at all —
-// which matters because the per-CPU scheduler ticks they serve are the
-// large majority of all simulation events. Firing order remains the global
-// (at, seq) order, exactly as if Schedule had been used.
+// SchedulePeriodic is Schedule; period is ignored. It once routed
+// fixed-cadence events to a dedicated store, and every event now shares
+// the timer wheel.
 //
-// The ring holds one period at a time, and joining it requires the arm time
-// to be at or after the ring's last deadline (true for tick ladders armed
-// in offset order). An event that does not qualify silently degrades to a
-// normal wheel/heap event. A ring member later re-armed off-cadence stays
-// ring-resident by sorted insert while its deadline is within one period,
-// and otherwise moves to the wheel/heap keeping its period — a parked
-// tickless tick — so an on-grid re-arm can take it back into the ring.
-// Either way SchedulePeriodic is an optimisation hint, never a semantic
-// change: firing order is always the global (at, seq) order.
-func (e *Engine) SchedulePeriodic(at, period Time, do func()) *Event {
-	if do == nil {
-		panic("sim: SchedulePeriodic with nil callback")
-	}
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: SchedulePeriodic with period %v", period))
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling in the past: at=%v now=%v", at, e.now))
-	}
-	e.seq++
-	e.scheduled++
-	ev := e.acquire()
-	ev.at = at
-	ev.seq = e.seq
-	ev.schedAt = e.now
-	ev.do = do
-	if e.ring.accepts(at, period) {
-		ev.period = period
-		e.ring.push(ev)
-	} else {
-		e.enqueue(ev)
-	}
-	return ev
-}
+// Deprecated: use Schedule, and re-arm from the callback with Reschedule.
+func (e *Engine) SchedulePeriodic(at, period Time, do func()) *Event { return e.Schedule(at, do) }
 
 // Reschedule re-arms ev — keeping its callback — to fire at at, as if it
 // had just been passed to Schedule: it receives a fresh sequence number, so
 // it orders after everything already scheduled for the same instant.
 // Periodic work (scheduler ticks, load-balance timers) re-arms one event
 // from its own callback instead of allocating an event and a closure per
-// period. Re-arming from the callback hits the wheel's O(1) insert: the
-// event was just removed, the reference time equals the firing instant, and
-// any periodic deadline within the horizon lands in a slot directly.
+// period. Re-arming from the callback is the wheel's O(1) insert: the
+// event was just removed and the wheel reference equals the firing
+// instant.
 //
-// ev may be pending (it is moved between tiers as needed) or mid-fire (its
-// callback is running: it is re-queued and will not be recycled when the
-// callback returns). It must not be dead — fired without re-arming, or
-// cancelled — since dead events are recycled and may already back an
-// unrelated Schedule.
+// ev may be pending (it moves to its new slot) or mid-fire (its callback
+// is running: it is re-queued and will not be recycled when the callback
+// returns). It must not be dead — fired without re-arming, or cancelled —
+// since dead events are recycled and may already back an unrelated
+// Schedule.
 func (e *Engine) Reschedule(ev *Event, at Time) {
 	if ev == nil || ev.pooled || ev.do == nil {
 		panic("sim: Reschedule of a dead (fired or cancelled) event")
@@ -313,165 +225,62 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 	}
 	e.seq++
 	e.scheduled++
-	if ev.period != 0 {
-		// Periodic event: the expected in-cadence re-arm (from its own
-		// callback, to exactly one period out) goes back into the ring tail
-		// in O(1). An off-cadence re-arm — a tickless CPU parking its tick
-		// far ahead, or waking it back onto the grid — keeps the period:
-		// the event leaves for the wheel/heap while parked and rejoins the
-		// ring by sorted insert once its deadline fits the cadence again.
-		if ev == e.ringFired {
-			// Fused path: the event is still the resident ring head (fire
-			// left it in place). The in-cadence re-arm becomes a single
-			// head-to-tail rotation — no remove, no push. The new deadline
-			// is one period past the old head deadline, which is ≥ every
-			// resident deadline (residents re-arm to lastFire+period and
-			// lastFire ≤ now), so sortedness holds; the tail check below is
-			// belt and braces for mixed-period rings.
-			e.ringFired = nil
-			if at == e.now+ev.period && e.ring.period == ev.period &&
-				at >= e.ring.tail().at {
-				ev.at = at
-				ev.seq = e.seq
-				ev.schedAt = e.now
-				e.ring.rotateHead(ev)
-				return
-			}
-			e.ring.remove(ev)
-		}
-		if ev.slot == ringSlot {
-			e.ring.remove(ev)
-		}
-		ev.schedAt = e.now
-		if at == e.now+ev.period && e.ring.accepts(at, ev.period) {
-			if ev.queued() {
-				e.dequeue(ev)
-			}
-			ev.at = at
-			ev.seq = e.seq
-			e.ring.push(ev)
-			return
-		}
-		if at-e.now <= ev.period && e.ring.acceptsInsert(ev.period) {
-			if ev.queued() {
-				e.dequeue(ev)
-			}
-			ev.at = at
-			ev.seq = e.seq
-			e.ring.insert(ev)
-			return
-		}
-		// Deadline beyond one period (a parked stretch): hold the event in
-		// the ordinary tiers until it is re-armed back onto the grid.
-	}
 	if ev.queued() {
-		e.dequeue(ev)
+		e.wheel.remove(ev)
 	}
 	ev.at = at
 	ev.seq = e.seq
 	ev.schedAt = e.now
-	e.enqueue(ev)
+	e.wheel.insert(ev)
 }
 
 // Cancel removes a pending event. Returns true if the event was pending and
 // is now guaranteed not to fire. The event is recycled: the caller must
-// clear its reference.
+// clear its reference. An event whose callback is running is not pending:
+// cancelling it from its own callback returns false, and the event is
+// recycled when the callback returns unless the callback re-armed it.
 func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.canceled || !ev.queued() {
 		return false
 	}
-	if ev == e.ringFired {
-		// Cancelled from its own callback: the fused fire path must not
-		// touch it again (it is dequeued and recycled right here).
-		e.ringFired = nil
-	}
 	ev.canceled = true
-	e.dequeue(ev)
+	e.wheel.remove(ev)
 	e.cancelled++
 	e.release(ev)
 	return true
 }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.wheel.count + e.ring.n + len(e.heap.items) }
+func (e *Engine) Pending() int { return e.wheel.count }
 
-// findMin returns the earliest pending event across all three tiers —
-// wheel levels are strictly ordered among themselves and the ring is
-// sorted, so this is one wheel lookup plus one (at, seq) comparison each
-// against the ring head and the heap top — or nil.
-func (e *Engine) findMin() *Event {
-	ev := e.wheel.min()
-	if e.ring.n > 0 {
-		if head := e.ring.head(); ev == nil || eventLess(head, ev) {
-			ev = head
-		}
-	}
-	if len(e.heap.items) > 0 {
-		top := e.heap.items[0].ev
-		if ev == nil || eventLess(top, ev) {
-			ev = top
-		}
-	}
-	return ev
-}
-
-// PeekNext returns the time of the earliest pending event, or MaxTime if
-// nothing is pending.
-func (e *Engine) PeekNext() Time {
-	if ev := e.findMin(); ev != nil {
+// NextEventAt reports the earliest instant at which this engine can next
+// act: the earliest pending deadline, or MaxTime when the engine is
+// drained. It is the conservative-lookahead probe for PDES pacing
+// (internal/cluster): between events every rank body is parked in a
+// blocking call with its deferred-step queue flushed, so any future
+// cross-engine send must originate from an event at or after this
+// instant. Repeated probes are O(1): the wheel memoizes its minimum.
+func (e *Engine) NextEventAt() Time {
+	if ev := e.wheel.min(); ev != nil {
 		return ev.at
 	}
 	return MaxTime
 }
 
-// NextEventAt reports the earliest instant at which this engine can next
-// act: the minimum pending deadline across all three tiers (periodic-ring
-// head, wheel memoized minimum, heap top), or MaxTime when the engine is
-// drained. It is the conservative-lookahead probe for PDES pacing
-// (internal/cluster): between events every rank body is parked in a
-// blocking call with its deferred-step queue flushed, so any future
-// cross-engine send must originate from an event at or after this
-// instant. Cost is O(1) — the wheel minimum is memoized, the ring head
-// and heap top are direct loads.
-func (e *Engine) NextEventAt() Time { return e.PeekNext() }
-
-// fire removes ev (the global minimum) from its tier, advances the clock
+// fire removes ev (the wheel minimum) from the wheel, advances the clock
 // and the wheel reference to its deadline, and runs the callback.
-//
-// A periodic-ring head is not dequeued at all: it stays resident while its
-// callback runs (tracked via ringFired), so the expected in-cadence
-// Reschedule fuses pop and re-arm into one head-to-tail rotation. Cancel
-// and off-cadence re-arms clear ringFired and fall back to the ordinary
-// remove paths; a callback that does neither leaves the event to be
-// removed and recycled here.
 func (e *Engine) fire(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
-	if ev.slot == ringSlot {
-		e.ringFired = ev
-		e.wheel.advance(ev.at)
-		e.now = ev.at
-		e.fired++
-		e.firingAt = ev.schedAt
-		ev.do()
-		if e.ringFired == ev {
-			// Neither re-armed nor cancelled: the event dies.
-			e.ringFired = nil
-			e.ring.remove(ev)
-			e.release(ev)
-		}
-		return
-	}
-	e.dequeue(ev)
+	e.wheel.remove(ev)
 	e.wheel.advance(ev.at)
 	e.now = ev.at
 	e.fired++
 	e.firingAt = ev.schedAt
 	ev.do()
-	// The callback may have re-armed the event (Reschedule) or, in
-	// principle, raced it back through the pool; only a still-dead event is
-	// recycled.
+	// The callback may have re-armed the event (Reschedule); only a
+	// still-dead event is recycled.
 	if !ev.queued() && !ev.pooled {
 		e.release(ev)
 	}
@@ -480,7 +289,7 @@ func (e *Engine) fire(ev *Event) {
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports false if no events are pending.
 func (e *Engine) Step() bool {
-	ev := e.findMin()
+	ev := e.wheel.min()
 	if ev == nil {
 		return false
 	}
@@ -495,7 +304,7 @@ func (e *Engine) Run(until Time) int {
 	n := 0
 	e.stopped = false
 	for !e.stopped {
-		ev := e.findMin()
+		ev := e.wheel.min()
 		if ev == nil || ev.at > until {
 			break
 		}
@@ -590,236 +399,4 @@ func (e *Engine) Stats() Stats {
 		Recycled:  e.recycled,
 		Pending:   e.Pending(),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Periodic ring (fixed-cadence tier)
-// ---------------------------------------------------------------------------
-
-// periodicRing holds the strictly-periodic events (SchedulePeriodic). All
-// residents share one period and are re-armed from their own callbacks to
-// exactly one period after their firing instant, so a re-arm's deadline is
-// always ≥ every resident deadline (d_i = lastFire_i + period and
-// lastFire_i ≤ the instant firing now): pushes append at the tail and the
-// ring stays (at, seq)-sorted with no comparisons at all. Equal deadlines
-// (tick ladders of cluster nodes sharing an engine) are appended in seq
-// order, because pops — and therefore re-arms — happen in seq order.
-type periodicRing struct {
-	period Time
-	evs    []*Event // circular buffer, capacity a power of two
-	first  int      // index of the head element
-	n      int
-}
-
-// accepts reports whether an event armed for at with the given period may
-// join the ring without breaking its sortedness: the ring is empty (it
-// adopts the period), or the period matches and at is not before the tail
-// deadline.
-func (r *periodicRing) accepts(at Time, period Time) bool {
-	if r.n == 0 {
-		return true
-	}
-	return r.period == period && at >= r.tail().at
-}
-
-func (r *periodicRing) head() *Event { return r.evs[r.first] }
-
-func (r *periodicRing) tail() *Event {
-	return r.evs[(r.first+r.n-1)&(len(r.evs)-1)]
-}
-
-// push appends ev (caller has checked accepts).
-func (r *periodicRing) push(ev *Event) {
-	if r.n == len(r.evs) {
-		grown := make([]*Event, max(8, 2*len(r.evs)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.evs[(r.first+i)&(len(r.evs)-1)]
-		}
-		r.evs = grown
-		r.first = 0
-	}
-	if r.n == 0 {
-		r.period = ev.period
-	}
-	r.evs[(r.first+r.n)&(len(r.evs)-1)] = ev
-	r.n++
-	ev.slot = ringSlot
-}
-
-// acceptsInsert reports whether an event with the given period may rejoin
-// the ring at an arbitrary sorted position (a tickless CPU's tick waking
-// back onto the grid): only the period must match — sortedness is restored
-// by insert itself.
-func (r *periodicRing) acceptsInsert(period Time) bool {
-	return r.n == 0 || r.period == period
-}
-
-// insert places ev at its (at, seq) position, shifting later members one
-// slot towards the tail. The shift is bounded by the ring population — one
-// entry per simulated CPU — and only runs on tickless wake-ups, never on
-// the steady-state pop/re-arm path.
-func (r *periodicRing) insert(ev *Event) {
-	r.push(ev) // makes room (and handles growth); now sift it into place
-	mask := len(r.evs) - 1
-	i := r.n - 1
-	for i > 0 {
-		prev := r.evs[(r.first+i-1)&mask]
-		if !eventLess(ev, prev) {
-			break
-		}
-		r.evs[(r.first+i)&mask] = prev
-		i--
-	}
-	r.evs[(r.first+i)&mask] = ev
-}
-
-// rotateHead moves the head to the tail in place — the fused pop/re-arm of
-// the firing ring head. The caller has already updated ev's (at, seq) to
-// one period past the old head deadline, which is ≥ every resident
-// deadline, so sortedness is preserved; n and the event's ring residency
-// (slot == ringSlot) never change.
-func (r *periodicRing) rotateHead(ev *Event) {
-	mask := len(r.evs) - 1
-	r.evs[r.first] = nil
-	r.first = (r.first + 1) & mask
-	r.evs[(r.first+r.n-1)&mask] = ev
-}
-
-// remove unlinks ev: O(1) for the head (the pop path — the fired event is
-// always the ring minimum), a shift for the rare Cancel/demotion mid-ring.
-func (r *periodicRing) remove(ev *Event) {
-	mask := len(r.evs) - 1
-	if r.evs[r.first] == ev {
-		r.evs[r.first] = nil
-		r.first = (r.first + 1) & mask
-		r.n--
-		ev.slot = -1
-		return
-	}
-	for i := 1; i < r.n; i++ {
-		if r.evs[(r.first+i)&mask] == ev {
-			for j := i; j < r.n-1; j++ {
-				r.evs[(r.first+j)&mask] = r.evs[(r.first+j+1)&mask]
-			}
-			r.evs[(r.first+r.n-1)&mask] = nil
-			r.n--
-			ev.slot = -1
-			return
-		}
-	}
-	panic("sim: periodic ring remove of non-member")
-}
-
-// ---------------------------------------------------------------------------
-// Flat 4-ary indexed min-heap (far-future overflow tier)
-// ---------------------------------------------------------------------------
-
-// eventQueue is a hand-rolled 4-ary min-heap over (at, seq), replacing
-// container/heap: no interface dispatch per sift, no boxing through any,
-// and a branching factor of 4 halves the tree depth. The (at, seq) keys
-// are stored inline in the heap slots, so sift comparisons scan a
-// contiguous array instead of chasing *Event pointers into the pool —
-// the four children of a node live on two cache lines, not four.
-// The heap is indexed (each event knows its slot) so Cancel removes in
-// O(log₄ n) without a search. Since the timer wheel absorbs every deadline
-// within its horizon, the heap only sees genuinely far-future events and
-// stays small.
-type eventQueue struct {
-	items []heapItem
-}
-
-// heapItem is one heap slot: the ordering key, denormalised from the
-// event (Reschedule keeps both copies in sync via the event's index).
-type heapItem struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-// itemLess orders by (at, seq): earlier deadline first, scheduling order
-// breaking ties — the engine's determinism contract.
-func itemLess(a, b *heapItem) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) push(ev *Event) {
-	ev.index = int32(len(q.items))
-	q.items = append(q.items, heapItem{at: ev.at, seq: ev.seq, ev: ev})
-	q.siftUp(len(q.items) - 1)
-}
-
-// remove deletes the event at slot i (Cancel and pop paths).
-func (q *eventQueue) remove(i int) {
-	items := q.items
-	ev := items[i].ev
-	last := len(items) - 1
-	if i != last {
-		items[i] = items[last]
-		items[i].ev.index = int32(i)
-		items[last] = heapItem{}
-		q.items = items[:last]
-		// The replacement came from the bottom; restore the heap in
-		// whichever direction it violates the invariant.
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
-	} else {
-		items[last] = heapItem{}
-		q.items = items[:last]
-	}
-	ev.index = -1
-}
-
-func (q *eventQueue) siftUp(i int) {
-	items := q.items
-	it := items[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !itemLess(&it, &items[parent]) {
-			break
-		}
-		items[i] = items[parent]
-		items[i].ev.index = int32(i)
-		i = parent
-	}
-	items[i] = it
-	it.ev.index = int32(i)
-}
-
-// siftDown restores the heap below slot i; it reports whether the event
-// moved.
-func (q *eventQueue) siftDown(i int) bool {
-	items := q.items
-	n := len(items)
-	it := items[i]
-	start := i
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if itemLess(&items[c], &items[min]) {
-				min = c
-			}
-		}
-		if !itemLess(&items[min], &it) {
-			break
-		}
-		items[i] = items[min]
-		items[i].ev.index = int32(i)
-		i = min
-	}
-	items[i] = it
-	it.ev.index = int32(i)
-	return i != start
 }

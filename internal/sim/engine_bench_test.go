@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // BenchmarkScheduleFire measures the core event cycle: acquire from the
-// pool, push into the 4-ary heap, pop, fire, recycle.
+// pool, insert into the timer wheel, pop, fire, recycle.
 func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEngine(1)
 	do := func() {}
@@ -16,7 +16,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkScheduleFireDepth measures the cycle with a deep queue, where
-// sift cost dominates.
+// sorted slot inserts and cascades dominate.
 func BenchmarkScheduleFireDepth(b *testing.B) {
 	e := NewEngine(1)
 	do := func() {}

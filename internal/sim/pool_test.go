@@ -62,12 +62,12 @@ func TestRescheduleOrdersAfterSameInstant(t *testing.T) {
 	}
 }
 
-// TestReschedulePendingEarlier moves a queued event to an earlier deadline:
-// the indexed heap must sift it up, not just down.
+// TestReschedulePendingEarlier moves a queued event to an earlier deadline,
+// ahead of everything else pending.
 func TestReschedulePendingEarlier(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
-	// Fill the heap so the rescheduled event sits deep in it.
+	// Fill the store so the rescheduled event overtakes many others.
 	for i := 0; i < 50; i++ {
 		i := i
 		e.Schedule(Time(100+i), func() { order = append(order, i) })
@@ -141,9 +141,10 @@ func TestPoolDoesNotRecycleRearmed(t *testing.T) {
 	}
 }
 
-// TestHeapStressVsReference exercises the 4-ary indexed heap with a random
-// mix of schedules, cancels and reschedules, checking the firing sequence
-// against a naive reference model sorted by (at, seq).
+// TestHeapStressVsReference exercises the event store with a random mix of
+// schedules, cancels and reschedules over deadlines on several wheel
+// levels, checking the level placement after every operation and the
+// firing sequence against a naive reference model sorted by (at, seq).
 func TestHeapStressVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -158,7 +159,7 @@ func TestHeapStressVsReference(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			switch r := rng.Intn(10); {
 			case r < 6 || len(evs) == 0: // schedule
-				at := Time(rng.Intn(1000))
+				at := Time(rng.Intn(1000)) << (rng.Intn(3) * wheelBits)
 				rec := &ref{}
 				ev := e.Schedule(at, func() { got = append(got, *rec) })
 				*rec = ref{at: at, seq: ev.seq}
@@ -179,10 +180,11 @@ func TestHeapStressVsReference(t *testing.T) {
 				if !live {
 					continue
 				}
-				at := Time(rng.Intn(1000))
+				at := Time(rng.Intn(1000)) << (rng.Intn(3) * wheelBits)
 				e.Reschedule(ev, at)
 				*rec = ref{at: at, seq: ev.seq} // closure sees the new key
 			}
+			checkWheel(t, &e.wheel)
 		}
 		want := make([]ref, 0, len(model))
 		for _, rec := range model {
@@ -212,7 +214,7 @@ func TestHeapStressVsReference(t *testing.T) {
 func TestScheduleAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	do := func() {}
-	// Warm the pool and the heap slice.
+	// Warm the pool.
 	for i := 0; i < 100; i++ {
 		e.Schedule(e.Now(), do)
 		e.Step()

@@ -2,27 +2,28 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel — the near-future half of the engine's two-tier
-// event scheduler (the far-future half is the overflow heap in engine.go).
+// Hierarchical timer wheel — the engine's only pending-event store.
 //
 // The wheel has wheelLevels levels of wheelSlots slots each. Slots are
 // wheelGranule (1 µs) wide at level 0 and 256× wider per level, so the
-// levels span 262 µs, 67 ms and 17 s: send/recv overheads, message
-// deliveries and barrier releases land directly in level 0, the per-CPU
-// scheduler ticks and RR re-arms in level 1 (one cascade), and only
-// multi-second deadlines pay the full descent. An event lives at the lowest
-// level where its deadline's slot bits differ from the wheel's reference
-// time: this XOR-against-reference rule (rather than the classic delta
-// rule) guarantees that slot indices at every level are monotone in
-// deadline and never wrap past the cursor, which is what makes findMin a
-// bitmap scan instead of a search. Deadlines beyond the top span overflow
-// into the heap.
+// levels span 262 µs, 67 ms, 17 s, 73 min and beyond, and the top level
+// covers every Time: message deliveries, send/recv overheads and barrier
+// releases land directly in level 0, the per-CPU scheduler ticks and RR
+// re-arms in level 1 (one cascade), and only longer deadlines pay a deeper
+// descent. An event lives at the lowest level where its deadline's slot
+// bits differ from the wheel's reference time: this XOR-against-reference
+// rule (rather than the classic delta rule) guarantees that slot indices
+// at every level are monotone in deadline and never wrap past the cursor,
+// which is what makes the minimum a bitmap scan instead of a search. The
+// price is that a deadline just across a high-bit boundary of the
+// reference lands in a high level however near it is; it then cascades
+// down one level per boundary on its way out.
 //
 // Two properties matter for the engine contract:
 //
-//   - O(1) hot path. Insert is a level pick (two comparisons), a slot
-//     append and a bitmap OR. Remove is a short list unlink. Each event
-//     cascades at most wheelLevels-1 times in its life.
+//   - O(1) hot path. Insert is a level pick (a bit length), a slot append
+//     and a bitmap OR. Remove is a short list unlink. Each event cascades
+//     at most wheelLevels-1 times in its life.
 //
 //   - Exact (at, seq) order. A slot spans many instants, so slot lists are
 //     kept sorted by (at, seq); the head of the first occupied slot of the
@@ -31,18 +32,16 @@ import "math/bits"
 //     every level-(l+1) event). Cascades re-insert through the same sorted
 //     path, so an event that trickles down a level keeps its place among
 //     same-instant peers and the engine's determinism contract holds
-//     bit-for-bit against the pure heap.
+//     bit-for-bit against a single sorted queue.
 const (
 	// wheelGranuleBits sets the level-0 slot width: 2^10 ns ≈ 1 µs.
 	wheelGranuleBits = 10
 	wheelBits        = 8
 	wheelSlots       = 1 << wheelBits // 256
 	wheelMask        = wheelSlots - 1
-	wheelLevels      = 3
-	// wheelHorizonBits is the span the wheel covers: deadlines whose XOR
-	// distance from the reference time fits in this many bits. Events
-	// beyond it live in the overflow heap.
-	wheelHorizonBits = wheelGranuleBits + wheelBits*wheelLevels // 34 → ~17.2 s
+	// wheelLevels is the fewest levels whose span, granule included,
+	// reaches past the 63 bits of a non-negative Time: 10 + 8·7 = 66.
+	wheelLevels = 7
 )
 
 // wheelShift returns the bit position of level l's slot index within a
@@ -54,8 +53,8 @@ func wheelShift(l int) uint {
 // wheelLevel is one ring of slots. Slot lists are doubly linked through
 // Event.next/prev (an event is never simultaneously pooled and queued, so
 // the free-list link is reused; prev makes Cancel/Reschedule unlink O(1))
-// and sorted by (at, seq). The occupancy bitmap lets findMin skip empty
-// slots a word at a time.
+// and sorted by (at, seq). The occupancy bitmap lets min skip empty slots
+// a word at a time.
 type wheelLevel struct {
 	count int
 	bits  [wheelSlots / 64]uint64
@@ -63,19 +62,17 @@ type wheelLevel struct {
 }
 
 // timerWheel is the full hierarchy. time is the reference: the deadline of
-// the last event popped through the wheel/heap pair. All pending events are
-// ≥ time (the engine pops in global order), which is what keeps cursor
-// scans one-directional.
+// the last event fired. All pending events are ≥ time (the engine pops in
+// global order), which is what keeps cursor scans one-directional.
 type timerWheel struct {
 	time   Time
 	count  int
 	levels [wheelLevels]wheelLevel
 
-	// cachedMin memoizes min(): most pops come from the periodic ring (the
-	// tick ladder), which never touches the wheel, so the wheel minimum is
-	// asked for far more often than it changes. insert keeps the cache
-	// exact in O(1); removing the cached event invalidates it (nil), and
-	// cascades move events between levels without changing the set, so
+	// cachedMin memoizes min(): cluster pacing probes NextEventAt between
+	// windows far more often than the minimum changes. insert keeps the
+	// cache exact in O(1); removing the cached event invalidates it (nil),
+	// and cascades move events between levels without changing the set, so
 	// advance leaves the cache alone.
 	cachedMin *Event
 }
@@ -89,17 +86,9 @@ func eventLess(a, b *Event) bool {
 }
 
 // levelFor picks the level for a deadline, given its XOR distance from the
-// reference. The caller has already excluded the overflow case
-// (diff >> wheelHorizonBits != 0).
+// reference: level l holds distances below 2^wheelShift(l+1).
 func levelFor(diff uint64) int {
-	switch {
-	case diff>>wheelShift(1) == 0:
-		return 0
-	case diff>>wheelShift(2) == 0:
-		return 1
-	default:
-		return 2
-	}
+	return (bits.Len64(diff>>wheelShift(1)) + wheelBits - 1) / wheelBits
 }
 
 // insert places ev into its slot, keeping the slot list (at, seq)-sorted.
@@ -108,16 +97,10 @@ func levelFor(diff uint64) int {
 // head; cascaded events (older seq arriving late) and coarse slots holding
 // several distinct instants pay a short sorted walk.
 func (w *timerWheel) insert(ev *Event) {
-	w.insertDiff(ev, uint64(ev.at^w.time))
-}
-
-// insertDiff is insert with the XOR distance already computed (the engine's
-// routing check needs it anyway).
-func (w *timerWheel) insertDiff(ev *Event, diff uint64) {
 	if w.cachedMin != nil && eventLess(ev, w.cachedMin) {
 		w.cachedMin = ev
 	}
-	l := levelFor(diff)
+	l := levelFor(uint64(ev.at ^ w.time))
 	s := int(ev.at>>wheelShift(l)) & wheelMask
 	lv := &w.levels[l]
 	head := lv.slots[s]
@@ -250,11 +233,7 @@ func (w *timerWheel) advance(to Time) {
 	if diff>>wheelShift(1) == 0 {
 		return // cursor moved within level 0: nothing to cascade
 	}
-	top := wheelLevels - 1
-	if diff>>wheelHorizonBits == 0 {
-		top = levelFor(diff)
-	} // else: beyond-horizon jump — the wheel is necessarily empty
-	for l := top; l >= 1; l-- {
+	for l := levelFor(diff); l >= 1; l-- {
 		lv := &w.levels[l]
 		if lv.count == 0 {
 			continue
