@@ -22,8 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"strings"
 
 	"hpcsched/internal/calibrate"
 	"hpcsched/internal/experiments"
@@ -347,20 +345,21 @@ func runOne(args []string) {
 	var fv faults.FlagValue
 	fs.Var(&fv, "faults", `fault-injection spec, e.g. "slow:n=2,factor=0.5;loss" (empty = none)`)
 	parseFlags(fs, args)
-	if !slices.Contains(workloads.Names(), *wl) {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (one of %s)\n", *wl, strings.Join(workloads.Names(), ", "))
-		exit(2)
-	}
 	mode, err := experiments.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
-	r, err := experiments.RunCtx(context.Background(), experiments.Config{
+	cfg := experiments.Config{
 		Workload: *wl, Mode: mode, Seed: *seed, Trace: *doTrace,
 		Faults: fv.Spec,
 		Nodes:  *nodes, Topology: *topology,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	r, err := experiments.RunCtx(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)

@@ -17,13 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 
 	"hpcsched/internal/experiments"
 	"hpcsched/internal/sim"
 	"hpcsched/internal/trace"
-	"hpcsched/internal/workloads"
 )
 
 func main() {
@@ -38,8 +35,8 @@ func main() {
 	to := flag.Float64("to", 0, "window end, seconds (ASCII mode; 0 = full)")
 	flag.Parse()
 
-	if !slices.Contains(workloads.Names(), *wl) {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (one of %s)\n", *wl, strings.Join(workloads.Names(), ", "))
+	if err := (experiments.Config{Workload: *wl}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	mode, err := experiments.ParseMode(*modeName)

@@ -45,6 +45,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"hpcsched/internal/batch"
 	"hpcsched/internal/mpi"
@@ -56,6 +57,18 @@ import (
 // nodeEngineSalt separates the per-node engine RNG streams from every other
 // derived stream in the tree (batch replicas, storms, fault compiles).
 const nodeEngineSalt = 0xc105_7e20_0000_0000
+
+// topologies are the Config.Topology names; "" means "flat".
+var topologies = []string{"flat", "ring", "star"}
+
+// CheckTopology returns an error naming the accepted topologies unless
+// name is one of them or "" (flat).
+func CheckTopology(name string) error {
+	if name == "" || slices.Contains(topologies, name) {
+		return nil
+	}
+	return fmt.Errorf("cluster: unknown topology %q (%s)", name, strings.Join(topologies, "|"))
+}
 
 // Config describes a multi-node cluster simulation.
 type Config struct {
@@ -252,10 +265,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.NewNode == nil {
 		return nil, fmt.Errorf("cluster: Config.NewNode is required")
 	}
-	switch cfg.Topology {
-	case "", "flat", "ring", "star":
-	default:
-		return nil, fmt.Errorf("cluster: unknown topology %q (flat|ring|star)", cfg.Topology)
+	if err := CheckTopology(cfg.Topology); err != nil {
+		return nil, err
 	}
 	c := &Cluster{
 		cfg:     cfg,

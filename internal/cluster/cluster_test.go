@@ -117,6 +117,23 @@ func TestUnknownTopologyRejected(t *testing.T) {
 	}
 }
 
+// TestCheckTopology: the accepted names are exactly the ones topologyExtra
+// prices, plus "" for flat.
+func TestCheckTopology(t *testing.T) {
+	for _, name := range []string{"", "flat", "ring", "star"} {
+		if err := CheckTopology(name); err != nil {
+			t.Errorf("CheckTopology(%q) = %v", name, err)
+		}
+		topologyExtra(name, 0, 1, 3, sim.Microsecond) // panics on an unpriced name
+	}
+	for _, name := range []string{"mesh", "Flat", " ring", "bogus"} {
+		err := CheckTopology(name)
+		if err == nil || !strings.Contains(err.Error(), "flat|ring|star") {
+			t.Errorf("CheckTopology(%q) = %v, want an error listing flat|ring|star", name, err)
+		}
+	}
+}
+
 // TestHorizonCap: ranks that outlive the horizon leave their nodes marked
 // capped, at exactly the horizon, identically under both pacings.
 func TestHorizonCap(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"hpcsched/internal/cluster"
 	"hpcsched/internal/core"
 	"hpcsched/internal/faults"
 	"hpcsched/internal/metrics"
@@ -170,6 +171,18 @@ type Config struct {
 	TweakMatMulDAG   func(*workloads.MatMulDAGConfig)
 }
 
+// Validate reports a config no run can execute: a workload outside
+// workloads.Names(), or a topology cluster.CheckTopology rejects. The
+// topology is checked at any Nodes, so a misspelt name fails on one node
+// too instead of being ignored.
+func (c Config) Validate() error {
+	if !slices.Contains(workloads.Names(), c.Workload) {
+		return fmt.Errorf("experiments: unknown workload %q (one of %s)",
+			c.Workload, strings.Join(workloads.Names(), ", "))
+	}
+	return cluster.CheckTopology(c.Topology)
+}
+
 // Result carries everything the tables and figures need.
 type Result struct {
 	Config    Config
@@ -192,7 +205,7 @@ type Result struct {
 
 // Run executes one experiment. It is RunCtx without cancellation or
 // watchdog: with a background context and no StallTimeout the run cannot
-// abort, so the only error left — an unknown workload — panics.
+// abort, so the only error left — a config that fails Validate — panics.
 func Run(cfg Config) Result {
 	cfg.StallTimeout = 0
 	res, err := RunCtx(context.Background(), cfg)
@@ -210,11 +223,11 @@ func Run(cfg Config) Result {
 // reason and a diagnostic dump; the kernel is shut down either way (no
 // leaked process goroutines). A panic out of the model layers shuts the
 // kernel down and re-panics, so batch-level recovery sees a clean process.
-// An unknown workload name is an error returned before anything is built.
+// A config that fails Validate is an error returned before anything is
+// built.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
-	if !slices.Contains(workloads.Names(), cfg.Workload) {
-		return Result{Config: cfg}, fmt.Errorf("experiments: unknown workload %q (one of %s)",
-			cfg.Workload, strings.Join(workloads.Names(), ", "))
+	if err := cfg.Validate(); err != nil {
+		return Result{Config: cfg}, err
 	}
 	if cfg.Nodes > 1 {
 		return runClusterCtx(ctx, cfg)

@@ -358,6 +358,54 @@ func TestRunCtxUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestRunCtxUnknownTopology: a misspelt topology is rejected before
+// anything is built, on one node (where it used to be ignored) and on a
+// cluster alike.
+func TestRunCtxUnknownTopology(t *testing.T) {
+	for _, nodes := range []int{0, 1, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			res, err := RunCtx(context.Background(), Config{
+				Workload: "metbench", Seed: 1, Nodes: nodes, Topology: "bogus",
+			})
+			if err == nil || !strings.Contains(err.Error(), `unknown topology "bogus" (flat|ring|star)`) {
+				t.Fatalf("err = %v, want an unknown-topology error", err)
+			}
+			if res.Kernel != nil || res.Cluster != nil {
+				t.Fatal("a machine was built for an invalid config")
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before, %d after; processes leaked", before, after)
+			}
+		})
+	}
+}
+
+// TestConfigValidate: Validate accepts every workload on every topology,
+// "" included, at any node count, and rejects an unknown name of either.
+func TestConfigValidate(t *testing.T) {
+	for _, wl := range workloads.Names() {
+		for _, topo := range []string{"", "flat", "ring", "star"} {
+			for _, nodes := range []int{1, 4} {
+				c := Config{Workload: wl, Topology: topo, Nodes: nodes}
+				if err := c.Validate(); err != nil {
+					t.Errorf("%+v: %v", c, err)
+				}
+			}
+		}
+	}
+	for _, c := range []Config{
+		{Workload: "", Topology: "flat"},
+		{Workload: "MetBench"},
+		{Workload: "metbench", Topology: "mesh"},
+		{Workload: "metbench", Topology: "Flat", Nodes: 2},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate accepted workload %q topology %q", c.Workload, c.Topology)
+		}
+	}
+}
+
 // TestStaticMetBenchEightWorkers: a single-node Static MetBench with eight
 // workers repeats the four hand-tuned priorities, as a cluster run tiles
 // them across nodes.
