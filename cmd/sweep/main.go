@@ -95,7 +95,7 @@ func main() {
 	maxRetries := flag.Int("max-retries", 0, "retries per failed replica, each on a fresh derived seed")
 	stallTimeout := flag.Duration("stall-timeout", 0, "per-replica sim-clock liveness watchdog (0 = off)")
 	flag.Parse()
-	if err := (experiments.Config{Workload: *wl, Nodes: *nodes, Topology: *topology}).Validate(); err != nil {
+	if err := (experiments.Config{Workload: *wl, Topology: *topology}).Validate(); err != nil {
 		// Reject before any run: every replica of an invalid config would
 		// fail, and the sweep would print a table of failed cells.
 		fmt.Fprintln(os.Stderr, err)

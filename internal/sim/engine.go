@@ -279,8 +279,9 @@ func (e *Engine) fire(ev *Event) {
 	e.fired++
 	e.firingAt = ev.schedAt
 	ev.do()
-	// The callback may have re-armed the event (Reschedule); only a
-	// still-dead event is recycled.
+	// The callback may have re-armed the event (Reschedule), and then even
+	// cancelled it (already recycled); only a still-dead event is
+	// recycled here.
 	if !ev.queued() && !ev.pooled {
 		e.release(ev)
 	}
