@@ -195,9 +195,7 @@ func (e *Engine) After(d Time, do func()) *Event {
 	return e.Schedule(e.now+d, do)
 }
 
-// SchedulePeriodic is Schedule; period is ignored. It once routed
-// fixed-cadence events to a dedicated store, and every event now shares
-// the timer wheel.
+// SchedulePeriodic is Schedule; period is ignored.
 //
 // Deprecated: use Schedule, and re-arm from the callback with Reschedule.
 func (e *Engine) SchedulePeriodic(at, period Time, do func()) *Event { return e.Schedule(at, do) }

@@ -16,8 +16,8 @@ import "math/bits"
 // at every level are monotone in deadline and never wrap past the cursor,
 // which is what makes the minimum a bitmap scan instead of a search. The
 // price is that a deadline just across a high-bit boundary of the
-// reference lands in a high level however near it is; it then cascades
-// down one level per boundary on its way out.
+// reference lands in a high level however near it is, and cascades down
+// when the clock crosses that boundary.
 //
 // Two properties matter for the engine contract:
 //
