@@ -261,6 +261,8 @@ func TestWheelDeterminismVsPureHeap(t *testing.T) {
 	}
 }
 
+// wheelVsReference is one run of TestWheelDeterminismVsPureHeap, with the
+// clock first moved to start.
 func wheelVsReference(t *testing.T, start Time, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine(1)
