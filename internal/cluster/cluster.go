@@ -1,8 +1,8 @@
 // Package cluster simulates a whole machine room: N node-local kernels —
 // each the single-node engine of internal/sim + internal/sched — coupled
-// by an inter-node MPI latency model and advanced in turn, on the calling
-// goroutine, by a conservative (Chandy–Misra–Bryant) discrete-event
-// simulation.
+// by an inter-node MPI latency model and advanced one window at a time, on
+// the calling goroutine, by a conservative (Chandy–Misra–Bryant) discrete-
+// event simulation.
 //
 // Every inter-node message costs at least the latency floor L (the
 // interconnect's RemoteLatency plus the smallest topology add-on over
@@ -33,6 +33,16 @@
 // minimum. RouteMessage stages a message with its receiver and lowers the
 // receiver's eot to the arrival in the same step, so every in-flight chain
 // is covered by some node's bound at every instant.
+//
+// Run steps the nodes in event order. The live nodes sit in a min-heap
+// keyed by their pacing bound (eot, or the clock under floor pacing), and
+// each turn runs the heap top for one window. The top can always advance:
+// its input bound is at least its own bound plus L, past its clock, so no
+// turn is wasted on a node that has nothing to do yet. When the closure is
+// uniform — one latency between any two nodes and one round trip, as on a
+// flat topology with ranks on every node — the top's EIT needs only the
+// smallest other bound, which the heap holds in the top's children, so a
+// window costs O(log N) instead of an O(N) scan.
 //
 // Determinism is the headline property: the event sequence of every node —
 // and therefore timelines, traces and fault logs — does not depend on where
@@ -200,8 +210,8 @@ func (p *injectPool) draw(m xmsg) *inject {
 	return in
 }
 
-// Cluster is a set of simulated nodes advanced in turn under conservative
-// lookahead.
+// Cluster is a set of simulated nodes advanced in event order under
+// conservative lookahead.
 type Cluster struct {
 	Engines []*sim.Engine
 	Kernels []*sched.Kernel
@@ -222,18 +232,23 @@ type Cluster struct {
 	// lowers it to every arrival it stages, and a finished node holds
 	// MaxTime. Node i's earliest input is min_j(eot[j] + reach[j][i]).
 	eot []sim.Time
-	// nodeLat[i][k] is the smallest transport latency from node i to node
-	// k over all placed rank pairs (MaxTime when no such pair exists):
-	// RemoteLatency plus the topology add-on, computed once in Finalize.
-	// Fault-injected mpidelay windows only ever add latency on top.
-	nodeLat [][]sim.Time
-	// reach[j][i] is the min-plus path closure of nodeLat — the cheapest
-	// nonempty forwarding path j→…→i (reach[i][i] is the cheapest round
-	// trip). A message chain originating at j cannot reach i faster, so
-	// EIT_i = min_j (eot[j] + reach[j][i]) bounds every possible arrival,
-	// including multi-hop forwards the senders' own probes cannot see.
-	// Static is conservative: a finished node only removes paths.
+	// reach[j][i] is the cheapest nonempty forwarding path j→…→i,
+	// computed once in Finalize. A hop j→i costs the smallest transport
+	// latency over the rank pairs placed there (RemoteLatency plus the
+	// topology add-on; MaxTime when no such pair exists), and closeReach
+	// takes the min-plus closure over paths of hops (reach[i][i] is the
+	// cheapest round trip). Fault-injected mpidelay windows only ever add
+	// latency on top. A message chain originating at j cannot reach i
+	// faster, so EIT_i = min_j (eot[j] + reach[j][i]) bounds every
+	// possible arrival, including multi-hop forwards the senders' own
+	// probes cannot see. Static is conservative: a finished node only
+	// removes paths.
 	reach [][]sim.Time
+	// uniform is set when every off-diagonal reach entry equals reachOther
+	// and every diagonal one reachSelf (a flat topology with ranks on
+	// every node): the heap top then reads its EIT in O(1) (inputBound).
+	uniform               bool
+	reachOther, reachSelf sim.Time
 	// windows/elided count executed lookahead windows per node and the
 	// estimated floor-cadence windows the EOT/EIT horizon collapsed. They
 	// depend on the pacing, not on the simulation, so they are reported
@@ -242,8 +257,10 @@ type Cluster struct {
 	windows []int64
 	elided  []int64
 
+	// queue holds the live nodes, keyed by bound; Run steps its top.
+	queue nodeHeap
+
 	pending  []int // per-node unexited spawned ranks
-	live     int   // nodes not yet finished
 	done     []bool
 	ends     []sim.Time
 	capped   []bool // node hit the horizon with ranks pending
@@ -273,7 +290,7 @@ func New(cfg Config) (*Cluster, error) {
 		pools:   make([]injectPool, cfg.Nodes),
 		staging: make([][]xmsg, cfg.Nodes),
 		pending: make([]int, cfg.Nodes),
-		live:    cfg.Nodes,
+		queue:   newNodeHeap(cfg.Nodes),
 		done:    make([]bool, cfg.Nodes),
 		ends:    make([]sim.Time, cfg.Nodes),
 		capped:  make([]bool, cfg.Nodes),
@@ -397,13 +414,14 @@ func (c *Cluster) Finalize() error {
 	}
 	c.finalized = true
 	nodes := len(c.Kernels)
-	c.nodeLat = make([][]sim.Time, nodes)
-	for i := range c.nodeLat {
-		row := make([]sim.Time, nodes)
-		for k := range row {
-			row[k] = sim.MaxTime // no rank pair: this direction can't carry traffic
-		}
-		c.nodeLat[i] = row
+	// reach starts as the one-hop latencies; closeReach closes it.
+	c.reach = make([][]sim.Time, nodes)
+	cells := make([]sim.Time, nodes*nodes)
+	for i := range cells {
+		cells[i] = sim.MaxTime // no rank pair: this direction can't carry traffic
+	}
+	for i := range c.reach {
+		c.reach[i] = cells[i*nodes : (i+1)*nodes]
 	}
 	if nodes == 1 {
 		c.floor = sim.MaxTime // no cross-node traffic; horizon-capped only
@@ -428,8 +446,8 @@ func (c *Cluster) Finalize() error {
 			if lat < floor {
 				floor = lat
 			}
-			if lat < c.nodeLat[c.rankNode[s]][c.rankNode[d]] {
-				c.nodeLat[c.rankNode[s]][c.rankNode[d]] = lat
+			if lat < c.reach[c.rankNode[s]][c.rankNode[d]] {
+				c.reach[c.rankNode[s]][c.rankNode[d]] = lat
 			}
 		}
 	}
@@ -446,19 +464,16 @@ func (c *Cluster) Finalize() error {
 	return nil
 }
 
-// closeReach computes the min-plus path closure of nodeLat
-// (Floyd–Warshall over saturating adds): reach[j][i] is the cheapest
-// nonempty forwarding path j→…→i, the diagonal the cheapest round trip —
-// MaxTime where no rank placement provides a path. Nodes-cubed once per
-// run, before any window. The initial eot bounds are zero: every engine's
+// closeReach replaces the one-hop latencies in reach, in place, with their
+// min-plus path closure (Floyd–Warshall over saturating adds): reach[j][i]
+// is the cheapest nonempty forwarding path j→…→i, the diagonal the
+// cheapest round trip — MaxTime where no rank placement provides a path.
+// Nodes-cubed once per run, before any window. The initial eot bounds are zero: every engine's
 // first event fires at ≥ 0, so the first EIT reads are min_j reach[j][i]
-// ≥ the floor, and the first windows open.
+// ≥ the floor, and the first windows open. It also records whether the
+// closure is uniform, which lets inputBound skip its scan.
 func (c *Cluster) closeReach() {
 	n := len(c.Kernels)
-	c.reach = make([][]sim.Time, n)
-	for i := range c.reach {
-		c.reach[i] = append([]sim.Time(nil), c.nodeLat[i]...)
-	}
 	for m := 0; m < n; m++ {
 		for i := 0; i < n; i++ {
 			if c.reach[i][m] == sim.MaxTime {
@@ -468,6 +483,22 @@ func (c *Cluster) closeReach() {
 				if via := satAdd(c.reach[i][m], c.reach[m][k]); via < c.reach[i][k] {
 					c.reach[i][k] = via
 				}
+			}
+		}
+	}
+	c.reachSelf, c.reachOther = c.reach[0][0], sim.MaxTime
+	if n > 1 {
+		c.reachOther = c.reach[0][1]
+	}
+	c.uniform = true
+	for j, row := range c.reach {
+		for i, r := range row {
+			want := c.reachOther
+			if i == j {
+				want = c.reachSelf
+			}
+			if r != want {
+				c.uniform = false
 			}
 		}
 	}
@@ -511,7 +542,8 @@ func topologyExtra(topology string, a, b, nodes int, remote sim.Time) sim.Time {
 // virtual instant the send fired, with the arrival pre-stamped. The message
 // is staged with its receiver at once, and the receiver's eot drops to the
 // arrival, so the message's chain is covered from the instant it leaves
-// the sender. A message for a finished node dies undelivered.
+// the sender; under lookahead the receiver's heap key drops with it. A
+// message for a finished node dies undelivered.
 //
 // The arrival must lie strictly after the receiver's clock. The
 // conservative window guarantees it; an arrival at exactly the clock would
@@ -527,27 +559,33 @@ func (c *Cluster) RouteMessage(srcNode, dstNode int, arrival sim.Time, dst *mpi.
 			seq: c.routed, dst: dst, src: src, tag: tag, size: size})
 		if arrival < c.eot[dstNode] {
 			c.eot[dstNode] = arrival
+			if !c.cfg.FloorPacing {
+				// Under floor pacing the key is the clock, which routing
+				// does not move.
+				c.queue.lower(dstNode, arrival)
+			}
 		}
 	}
 	c.stopIfDone(srcNode)
 }
 
 // inputBound returns node i's earliest input time: no message can arrive
-// at node i before it. Under floor pacing it is the slowest live peer's
-// clock plus the floor. Under EOT/EIT pacing every event chain not yet
-// injected is covered by some node's eot and pays at least the closure
-// latency to reach i, so it is min_j (eot[j] + reach[j][i]); the j = i term
-// covers i's own sends echoing back (cheapest round trip), and directions
-// with no rank placement sit at MaxTime and never constrain.
+// at node i before it. Node i must be the heap top. Under floor pacing it
+// is the slowest live peer's clock plus the floor, and the heap keys are
+// the clocks, so the slowest peer is one of the top's children. Under
+// EOT/EIT pacing every event chain not yet injected is covered by some
+// node's eot and pays at least the closure latency to reach i, so it is
+// min_j (eot[j] + reach[j][i]); the j = i term covers i's own sends echoing
+// back (cheapest round trip), and directions with no rank placement sit at
+// MaxTime and never constrain. On a uniform closure that minimum is the
+// smallest other eot — again the top's children — plus one latency, or
+// i's own eot plus the round trip; otherwise it takes an O(N) scan.
 func (c *Cluster) inputBound(i int) sim.Time {
 	if c.cfg.FloorPacing {
-		minOther := sim.MaxTime
-		for j, eng := range c.Engines {
-			if j != i && !c.done[j] && eng.Now() < minOther {
-				minOther = eng.Now()
-			}
-		}
-		return satAdd(minOther, c.floor)
+		return satAdd(c.queue.minChild(), c.floor)
+	}
+	if c.uniform {
+		return min(satAdd(c.queue.minChild(), c.reachOther), satAdd(c.eot[i], c.reachSelf))
 	}
 	eit := sim.MaxTime
 	for j, e := range c.eot {
@@ -641,7 +679,6 @@ func (c *Cluster) afterRun(i int) bool {
 // constraining the others. Messages still staged for it die undelivered.
 func (c *Cluster) finish(i int, capped bool) {
 	c.done[i] = true
-	c.live--
 	c.capped[i] = capped
 	c.ends[i] = c.Engines[i].Now()
 	c.eot[i] = sim.MaxTime
@@ -739,11 +776,13 @@ func (c *Cluster) consumeStaged(i, n int) {
 	c.staging[i] = st[:copy(st, st[n:])]
 }
 
-// Run advances the nodes in turn on the calling goroutine until every
-// spawned rank has exited or the horizon passes, and returns the cluster
-// end time — the latest node end. Each pass steps every live node by one
-// window. The error is non-nil only when a node was interrupted (watchdog
-// or context hook); the caller still owns Settle/Shutdown.
+// Run advances the nodes in event order on the calling goroutine until
+// every spawned rank has exited or the horizon passes, and returns the
+// cluster end time — the latest node end. Each turn pops the live node
+// with the smallest bound, runs it for one window and re-keys it, or drops
+// it once it has finished. The error is non-nil only when a node was
+// interrupted (watchdog or context hook); the caller still owns
+// Settle/Shutdown.
 func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 	if !c.finalized {
 		if err := c.Finalize(); err != nil {
@@ -761,19 +800,22 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 			// rather than running its noise to the horizon.
 			c.finish(i, false)
 		}
-	}
-	for c.live > 0 && c.abortErr == nil {
-		progress := false
-		for i := range c.Engines {
-			if !c.done[i] && c.stepNode(i) {
-				progress = true
-				if c.abortErr != nil {
-					break
-				}
-			}
+		if !c.done[i] {
+			c.queue.push(i, c.bound(i))
 		}
-		if !progress {
-			c.stalled()
+	}
+	for c.queue.len() > 0 && c.abortErr == nil {
+		i := c.queue.top()
+		if checkPop != nil {
+			checkPop(c, i)
+		}
+		if !c.stepNode(i) {
+			c.stalled(i)
+		}
+		if c.done[i] {
+			c.queue.remove(i)
+		} else {
+			c.queue.set(i, c.bound(i))
 		}
 	}
 	var end sim.Time
@@ -789,21 +831,18 @@ func (c *Cluster) Run(horizon sim.Time) (sim.Time, error) {
 	return end, c.abortErr
 }
 
-// stalled panics after a pass in which no live node could advance. With
-// one goroutine nothing changes between passes, so the run could never
-// recover; and while the bounds are sound it cannot happen, because the
-// live node with the smallest bound (eot, or clock under floor pacing)
-// always has an input bound ≥ its own bound + floor ≥ its clock + 2, so a
-// window past its clock. Reaching this is a protocol bug.
-func (c *Cluster) stalled() {
-	n := -1
-	for i := range c.Engines {
-		if !c.done[i] && (n < 0 || c.bound(i) < c.bound(n)) {
-			n = i
-		}
-	}
+// checkPop, when non-nil, is called with each heap top before it is
+// stepped. Tests set it to assert the loop's invariants.
+var checkPop func(c *Cluster, top int)
+
+// stalled panics when the heap top i cannot advance. While the bounds are
+// sound that cannot happen: the top has the smallest bound b (eot, or the
+// clock under floor pacing), so its input bound is ≥ b + floor ≥ its
+// clock + 2, a window past its clock. With one goroutine nothing else
+// could move it, so reaching this is a protocol bug.
+func (c *Cluster) stalled(i int) {
 	panic(fmt.Sprintf("cluster: no node can advance: node %d at %v has EIT %v",
-		n, c.Engines[n].Now(), c.inputBound(n)))
+		i, c.Engines[i].Now(), c.inputBound(i)))
 }
 
 // bound is the quantity the pacing orders nodes by: eot under EOT/EIT,

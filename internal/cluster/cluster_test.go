@@ -17,29 +17,11 @@ func newTestNode(node int, eng *sim.Engine) *sched.Kernel {
 	return sched.NewKernel(eng, power5.NewChip(2, power5.NewCalibratedPerfModel()), sched.Options{})
 }
 
-// buildRingJob spawns two ranks per node running a global ring exchange:
-// every iteration each rank computes, sends to its successor and receives
-// from its predecessor, so every node border carries traffic both ways.
+// buildRingJob is buildExchange with two ranks per node computing about
+// 200µs per iteration.
 func buildRingJob(t *testing.T, cfg Config, iterations int) *Cluster {
 	t.Helper()
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := cfg.Nodes * 2
-	c.NewWorld(n, cfg.MPI)
-	for i := 0; i < n; i++ {
-		i := i
-		rng := rankRNG(cfg.Seed, i)
-		c.SpawnRank(i, i/2, sched.TaskSpec{}, func(r *mpi.Rank) {
-			for it := 0; it < iterations; it++ {
-				r.Compute(rng.Jitter(200*sim.Microsecond, 0.3))
-				r.Send((i+1)%n, it, 4096)
-				r.Recv((i+n-1)%n, it)
-			}
-		})
-	}
-	return c
+	return buildExchange(t, cfg, 2, iterations, 200*sim.Microsecond)
 }
 
 // fingerprint renders everything observable about a finished run.
@@ -244,10 +226,12 @@ func TestCollectivesCrossNode(t *testing.T) {
 // TestLookaheadFloorPacingEquivalence is the PDES determinism claim at the
 // package level: the EOT/EIT lookahead horizon only moves window
 // boundaries, so a run under it is byte-identical to the same run under
-// the clock+floor cadence, on every topology.
+// the clock+floor cadence, on every topology. The run-loop invariant
+// check is on throughout.
 func TestLookaheadFloorPacingEquivalence(t *testing.T) {
 	for _, topo := range []string{"flat", "ring", "star"} {
 		t.Run(topo, func(t *testing.T) {
+			enableInvariants(t)
 			run := func(floorPacing bool) string {
 				c := buildRingJob(t, Config{
 					Nodes: 4, Topology: topo, Seed: 42,

@@ -42,6 +42,11 @@ var committedPairs = []struct {
 	// btmz-trace ratio is 2.25x, and the floor only guards against a
 	// mismatched pair.
 	{"BENCH_pre-coro.json", "BENCH_coro.json", "btmz-trace", 2.0},
+	// Cluster nodes stepped in event order from a min-heap, with an O(1)
+	// input bound on flat topologies: sync windows on 16 nodes fall from
+	// 701k to 93k. The floor is the headline 16-node gain the change was
+	// held to.
+	{"BENCH_pre-evloop.json", "BENCH_evloop.json", "cluster-btmz-16node", 1.5},
 }
 
 // TestCommittedReportsPassGate pins the repository's perf trajectory: every
